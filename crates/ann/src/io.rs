@@ -13,25 +13,14 @@
 //! ...repeated per layer...
 //! ```
 //!
-//! Quantized models ([`crate::quant::QuantNetwork`]) use the sibling
-//! `annq-v1` layout: integers are written exactly (no float formatting
-//! involved), so a quantized model round-trips bit-for-bit:
-//!
-//! ```text
-//! annq-v1
-//! layers <count>
-//! layer <fan_in> <fan_out> <activation>
-//! s <w_scale>
-//! q <fan_in*fan_out i16 weights, row-major, space-separated>
-//! b <fan_out floats>
-//! ...repeated per layer...
-//! ```
+//! Every weight and bias must be finite: that is what keeps a loaded
+//! network's forward pass bit-identical to the one it was trained with
+//! (see [`crate::matrix::Matrix::matmul_into`]).
 
 use crate::activation::Activation;
 use crate::layer::Dense;
 use crate::matrix::Matrix;
 use crate::network::Network;
-use crate::quant::{QuantDense, QuantNetwork};
 use std::path::Path;
 
 /// Errors from [`parse_network`] / [`load_network`].
@@ -102,7 +91,9 @@ pub fn format_network(net: &Network) -> String {
     out
 }
 
-/// Parses the text format back into a network.
+/// Parses the text format back into a network. Rejects non-finite
+/// weights and biases; the layer count and shapes are only trusted as far
+/// as the lines present back them.
 pub fn parse_network(text: &str) -> Result<Network, ModelIoError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
     let (ln, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
@@ -120,7 +111,7 @@ pub fn parse_network(text: &str) -> Result<Network, ModelIoError> {
         return Err(parse_err(ln, "a network needs at least one layer"));
     }
 
-    let mut layers = Vec::with_capacity(count);
+    let mut layers = Vec::new();
     for _ in 0..count {
         let (ln, meta) = lines
             .next()
@@ -148,7 +139,10 @@ pub fn parse_network(text: &str) -> Result<Network, ModelIoError> {
         let (ln_w, w_line) = lines
             .next()
             .ok_or_else(|| parse_err(ln, "missing weights"))?;
-        let w_vals = parse_float_line(w_line, 'w', fan_in * fan_out, ln_w)?;
+        let weights = fan_in
+            .checked_mul(fan_out)
+            .ok_or_else(|| parse_err(ln, "layer dimensions overflow"))?;
+        let w_vals = parse_float_line(w_line, 'w', weights, ln_w)?;
         let (ln_b, b_line) = lines
             .next()
             .ok_or_else(|| parse_err(ln, "missing biases"))?;
@@ -179,6 +173,9 @@ fn parse_float_line(
         .ok_or_else(|| parse_err(ln, format!("expected `{tag} ...`")))?;
     let vals: Result<Vec<f32>, _> = rest.split_whitespace().map(str::parse).collect();
     let vals = vals.map_err(|e| parse_err(ln, format!("bad float: {e}")))?;
+    if !vals.iter().all(|v| v.is_finite()) {
+        return Err(parse_err(ln, "values must be finite"));
+    }
     if vals.len() != expected {
         return Err(parse_err(
             ln,
@@ -198,143 +195,6 @@ pub fn save_network(net: &Network, path: impl AsRef<Path>) -> Result<(), ModelIo
 pub fn load_network(path: impl AsRef<Path>) -> Result<Network, ModelIoError> {
     let text = std::fs::read_to_string(path)?;
     parse_network(&text)
-}
-
-/// Serializes a quantized network to the `annq-v1` text format.
-pub fn format_quant_network(net: &QuantNetwork) -> String {
-    let mut out = String::new();
-    out.push_str("annq-v1\n");
-    out.push_str(&format!("layers {}\n", net.layers().len()));
-    for layer in net.layers() {
-        out.push_str(&format!(
-            "layer {} {} {}\n",
-            layer.fan_in(),
-            layer.fan_out(),
-            layer.activation().name()
-        ));
-        out.push_str(&format!("s {:e}\n", layer.w_scale()));
-        out.push('q');
-        for kk in 0..layer.fan_in() {
-            for j in 0..layer.fan_out() {
-                out.push(' ');
-                out.push_str(&layer.qw(kk, j).to_string());
-            }
-        }
-        out.push('\n');
-        out.push('b');
-        for &v in layer.bias() {
-            out.push(' ');
-            out.push_str(&format!("{v:e}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses the `annq-v1` text format back into a quantized network.
-pub fn parse_quant_network(text: &str) -> Result<QuantNetwork, ModelIoError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (ln, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
-    if header.trim() != "annq-v1" {
-        return Err(parse_err(ln, format!("bad header `{header}`")));
-    }
-    let (ln, count_line) = lines
-        .next()
-        .ok_or_else(|| parse_err(2, "missing layer count"))?;
-    let count: usize = count_line
-        .strip_prefix("layers ")
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| parse_err(ln, "expected `layers <n>`"))?;
-    if count == 0 {
-        return Err(parse_err(ln, "a network needs at least one layer"));
-    }
-
-    let mut layers = Vec::with_capacity(count);
-    for _ in 0..count {
-        let (ln, meta) = lines
-            .next()
-            .ok_or_else(|| parse_err(0, "missing layer header"))?;
-        let mut parts = meta.split_whitespace();
-        if parts.next() != Some("layer") {
-            return Err(parse_err(ln, "expected `layer <in> <out> <act>`"));
-        }
-        let fan_in: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(ln, "bad fan_in"))?;
-        let fan_out: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(ln, "bad fan_out"))?;
-        if fan_in == 0 || fan_out == 0 {
-            return Err(parse_err(ln, "layer dimensions must be positive"));
-        }
-        let act = parts
-            .next()
-            .and_then(Activation::from_name)
-            .ok_or_else(|| parse_err(ln, "bad activation"))?;
-
-        let (ln_s, s_line) = lines
-            .next()
-            .ok_or_else(|| parse_err(ln, "missing weight scale"))?;
-        let w_scale: f32 = s_line
-            .strip_prefix("s ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| parse_err(ln_s, "expected `s <scale>`"))?;
-        if !(w_scale.is_finite() && w_scale > 0.0) {
-            return Err(parse_err(ln_s, "weight scale must be positive and finite"));
-        }
-        let (ln_q, q_line) = lines
-            .next()
-            .ok_or_else(|| parse_err(ln, "missing quantized weights"))?;
-        let qw = parse_int_line(q_line, 'q', fan_in * fan_out, ln_q)?;
-        let (ln_b, b_line) = lines
-            .next()
-            .ok_or_else(|| parse_err(ln, "missing biases"))?;
-        let b_vals = parse_float_line(b_line, 'b', fan_out, ln_b)?;
-
-        layers.push(QuantDense::from_parts(
-            fan_in, fan_out, w_scale, &qw, b_vals, act,
-        ));
-    }
-    for pair in layers.windows(2) {
-        if pair[0].fan_out() != pair[1].fan_in() {
-            return Err(parse_err(0, "layer width mismatch"));
-        }
-    }
-    Ok(QuantNetwork::from_layers(layers))
-}
-
-fn parse_int_line(
-    line: &str,
-    tag: char,
-    expected: usize,
-    ln: usize,
-) -> Result<Vec<i16>, ModelIoError> {
-    let rest = line
-        .strip_prefix(tag)
-        .ok_or_else(|| parse_err(ln, format!("expected `{tag} ...`")))?;
-    let vals: Result<Vec<i16>, _> = rest.split_whitespace().map(str::parse).collect();
-    let vals = vals.map_err(|e| parse_err(ln, format!("bad integer: {e}")))?;
-    if vals.len() != expected {
-        return Err(parse_err(
-            ln,
-            format!("expected {expected} values, found {}", vals.len()),
-        ));
-    }
-    Ok(vals)
-}
-
-/// Writes a quantized network to a file.
-pub fn save_quant_network(net: &QuantNetwork, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
-    std::fs::write(path, format_quant_network(net))?;
-    Ok(())
-}
-
-/// Reads a quantized network from a file.
-pub fn load_quant_network(path: impl AsRef<Path>) -> Result<QuantNetwork, ModelIoError> {
-    let text = std::fs::read_to_string(path)?;
-    parse_quant_network(&text)
 }
 
 #[cfg(test)]
@@ -422,29 +282,30 @@ mod tests {
     }
 
     #[test]
-    fn quant_round_trip_is_exact() {
-        let net = Network::paper_topology(Activation::Logistic, 21);
-        let q = QuantNetwork::from_network(&net);
-        let text = format_quant_network(&q);
-        let parsed = parse_quant_network(&text).unwrap();
-        assert_eq!(parsed, q, "annq-v1 round trip must be bit-exact");
+    fn rejects_a_layer_count_the_lines_do_not_back() {
+        // A corrupt count must not size an allocation.
+        let err = parse_network(&format!("ann-v1\nlayers {}\n", usize::MAX)).unwrap_err();
+        assert!(err.to_string().contains("missing layer header"));
+        let text = format!(
+            "ann-v1\nlayers 1\nlayer {} 2 relu\nw 1\nb 0 0\n",
+            usize::MAX
+        );
+        let err = parse_network(&text).unwrap_err();
+        assert!(err.to_string().contains("overflow"));
     }
 
     #[test]
-    fn quant_rejects_bad_header_and_scale() {
-        let err = parse_quant_network("ann-v1\n").unwrap_err();
-        assert!(err.to_string().contains("bad header"));
-        let text = "annq-v1\nlayers 1\nlayer 1 1 identity\ns 0\nq 5\nb 0\n";
-        let err = parse_quant_network(text).unwrap_err();
-        assert!(err.to_string().contains("positive and finite"));
-    }
-
-    #[test]
-    fn quant_rejects_out_of_range_weight() {
-        // 40000 overflows i16: a corrupt file must fail, not wrap.
-        let text = "annq-v1\nlayers 1\nlayer 1 1 identity\ns 1e0\nq 40000\nb 0\n";
-        let err = parse_quant_network(text).unwrap_err();
-        assert!(err.to_string().contains("bad integer"));
+    fn rejects_non_finite_weights_and_biases() {
+        for (w, b) in [
+            ("NaN 1", "0"),
+            ("1 inf", "0"),
+            ("1 1", "-inf"),
+            ("1 1", "NaN"),
+        ] {
+            let text = format!("ann-v1\nlayers 1\nlayer 2 1 identity\nw {w}\nb {b}\n");
+            let err = parse_network(&text).unwrap_err();
+            assert!(err.to_string().contains("finite"), "{w} / {b}: {err}");
+        }
     }
 
     #[test]

@@ -54,20 +54,13 @@ impl Dense {
 
     /// Forward pass for a batch `x: [batch, fan_in]` → `[batch, fan_out]`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        debug_assert_eq!(x.cols(), self.fan_in());
-        let mut out = x.matmul(&self.w);
-        out.add_row_broadcast(&self.b);
-        for i in 0..out.rows() {
-            self.act.apply_slice(out.row_mut(i));
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_batch_into(x, &mut out);
         out
     }
 
-    /// Forward pass into a reused output buffer via the branchless
-    /// batched kernel [`Matrix::matmul_into`]. Allocation-free once
-    /// `out` is warm, and bit-identical to [`Dense::forward`] row for
-    /// row (finite weights — the training and quantization paths never
-    /// produce anything else).
+    /// [`Dense::forward`] into a reused output buffer via the kernel
+    /// [`Matrix::matmul_into`]; allocation-free once `out` is warm.
     pub fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(x.cols(), self.fan_in());
         x.matmul_into(&self.w, out);

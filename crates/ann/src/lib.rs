@@ -15,9 +15,8 @@
 //! * a plain-text model format for moving trained parameters into the
 //!   simulated FTL ([`io`]), mirroring the paper's "train on the host,
 //!   send the parameters to the FTL" deployment;
-//! * batched scratch-buffer inference ([`network::ForwardScratch`]) and
-//!   a fixed-point i16 inference mode ([`quant`]) for the decision hot
-//!   path.
+//! * batched scratch-buffer inference ([`network::ForwardScratch`]) for
+//!   the decision hot path.
 //!
 //! # Example: learn XOR
 //!
@@ -47,7 +46,6 @@ pub mod matrix;
 pub mod metrics;
 pub mod network;
 pub mod optimizer;
-pub mod quant;
 pub mod schedule;
 pub mod train;
 
@@ -58,7 +56,6 @@ pub mod prelude {
     pub use crate::matrix::Matrix;
     pub use crate::network::{ForwardScratch, Network};
     pub use crate::optimizer::{AdaGrad, Adam, Momentum, Optimizer, RmsProp, Sgd};
-    pub use crate::quant::{QuantNetwork, QuantScratch};
     pub use crate::schedule::{EarlyStopping, LrSchedule, Scheduled};
     pub use crate::train::{TrainHistory, Trainer};
 }

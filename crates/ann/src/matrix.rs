@@ -130,110 +130,18 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Packs `self` transposed into `bt` (column-major: `bt[j*k + kk] =
-    /// self[kk, j]`), resizing `bt` as needed. This is the weight-side
-    /// pack [`Matrix::matmul_prepacked_into`] consumes; packing once and
-    /// reusing it across a batch is what makes batched inference cheap.
-    pub fn pack_transposed_into(&self, bt: &mut Vec<f32>) {
-        let (k, n) = (self.rows, self.cols);
-        bt.resize(n * k, 0.0);
-        for kk in 0..k {
-            let b_row = self.row(kk);
-            for (j, &b) in b_row.iter().enumerate() {
-                bt[j * k + kk] = b;
-            }
-        }
-    }
-
-    /// `self × other` — shapes `[m,k] × [k,n] → [m,n]`.
-    ///
-    /// Packs `other` transposed once so the reduction walks both operands
-    /// with unit stride, then computes four output columns per pass with
-    /// independent accumulators. Every output element still accumulates
-    /// its terms in ascending-`k` order with the `a == 0.0` skip (common
-    /// after ReLU), so results are bit-identical to the naive i-k-j loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut bt = Vec::new();
-        other.pack_transposed_into(&mut bt);
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_prepacked_into(other.cols, &bt, &mut out);
-        out
-    }
-
-    /// `self × B` where `B` is supplied pre-packed (transposed, as
-    /// produced by [`Matrix::pack_transposed_into`]), writing into `out`
-    /// without allocating once `out`'s buffer is warm.
-    ///
-    /// Runs exactly the tiled kernel [`Matrix::matmul`] runs — same
-    /// 4-column tiles, same ascending-`k` accumulation order, same
-    /// `a == 0.0` skip — so each output row is bit-identical to the
-    /// allocating path, for any batch of rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bt.len() != n * self.cols()`.
-    pub fn matmul_prepacked_into(&self, n: usize, bt: &[f32], out: &mut Matrix) {
-        let (m, k) = (self.rows, self.cols);
-        assert_eq!(bt.len(), n * k, "packed operand shape mismatch");
-        out.resize(m, n);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &bt[j * k..(j + 1) * k];
-                let b1 = &bt[(j + 1) * k..(j + 2) * k];
-                let b2 = &bt[(j + 2) * k..(j + 3) * k];
-                let b3 = &bt[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (kk, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    s0 += a * b0[kk];
-                    s1 += a * b1[kk];
-                    s2 += a * b2[kk];
-                    s3 += a * b3[kk];
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            for (j, o) in out_row.iter_mut().enumerate().skip(j) {
-                let bj = &bt[j * k..(j + 1) * k];
-                let mut s = 0.0f32;
-                for (kk, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    s += a * bj[kk];
-                }
-                *o = s;
-            }
-        }
-    }
-
-    /// `self × b` written into `out`, reusing `out`'s buffer — the
-    /// batched-inference kernel.
+    /// `self × b` — shapes `[m,k] × [k,n] → [m,n]` — written into `out`,
+    /// reusing `out`'s buffer: the one forward kernel, used for training
+    /// and inference alike.
     ///
     /// Walks `b` row-by-row and accumulates `a[i,k] · b[k,·]` into the
-    /// output row, so every output element receives exactly the additions
-    /// the naive i-k-j loop performs, in the same ascending-`k` order —
-    /// bit-identical to [`Matrix::matmul`] whenever `b` is finite (the
-    /// only divergence is the `a == 0.0` skip, which for finite weights
-    /// only ever skips adding a signed zero, and a `+0.0`-initialized
-    /// IEEE-754 accumulator is unchanged bit-for-bit by adding `±0.0`).
-    /// Unlike the tiled kernel this loop has no per-element branch and
-    /// its inner loop runs across the contiguous output row, so the
-    /// compiler vectorizes it; combined with the reused output buffer
-    /// this is what makes one batched call beat a loop of row calls.
+    /// output row, so every output element receives its terms in
+    /// ascending-`k` order. Whenever `b` is finite this is bit-identical
+    /// to the naive i-k-j loop that skips `a == 0.0` terms (common after
+    /// ReLU): for finite weights such a term is a signed zero, and a
+    /// `+0.0`-initialized IEEE-754 accumulator is unchanged bit-for-bit by
+    /// adding `±0.0`. The inner loop has no per-element branch and runs
+    /// across the contiguous output row, so the compiler vectorizes it.
     ///
     /// # Panics
     ///
@@ -334,6 +242,13 @@ mod tests {
     use super::*;
     use simrng::{Rng, RngCore, SimRng};
 
+    /// `a × b` through the kernel into a fresh matrix.
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_into(b, &mut out);
+        out
+    }
+
     fn approx(a: &Matrix, b: &Matrix, eps: f32) -> bool {
         a.rows() == b.rows()
             && a.cols() == b.cols()
@@ -372,7 +287,7 @@ mod tests {
     fn matmul_known_values() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
@@ -380,7 +295,7 @@ mod tests {
     fn matmul_identity() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let i = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert_eq!(a.matmul(&i), a);
+        assert_eq!(matmul(&a, &i), a);
     }
 
     #[test]
@@ -388,7 +303,7 @@ mod tests {
     fn matmul_validates_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = matmul(&a, &b);
     }
 
     #[test]
@@ -427,7 +342,7 @@ mod tests {
             let a = random_matrix(4, 3, &mut rng);
             let b = random_matrix(4, 5, &mut rng);
             let at = Matrix::from_fn(3, 4, |i, j| a.get(j, i));
-            assert!(approx(&a.t_matmul(&b), &at.matmul(&b), 1e-4));
+            assert!(approx(&a.t_matmul(&b), &matmul(&at, &b), 1e-4));
         }
     }
 
@@ -439,13 +354,14 @@ mod tests {
             let a = random_matrix(4, 3, &mut rng);
             let b = random_matrix(5, 3, &mut rng);
             let bt = Matrix::from_fn(3, 5, |i, j| b.get(j, i));
-            assert!(approx(&a.matmul_t(&b), &a.matmul(&bt), 1e-4));
+            assert!(approx(&a.matmul_t(&b), &matmul(&a, &bt), 1e-4));
         }
     }
 
-    /// The tiled kernel must be **bit-identical** to the naive i-k-j loop
-    /// it replaced — training determinism depends on it. Random shapes
-    /// (including remainder columns) with ReLU-style zero sparsity.
+    /// The kernel must be **bit-identical** to the naive i-k-j loop with
+    /// the `a == 0.0` skip — training determinism and every trained
+    /// weight depend on it. Random shapes with ReLU-style zeros on both
+    /// sides, through one warm output buffer reused across shapes.
     #[test]
     fn matmul_is_bit_identical_to_naive_reference() {
         fn naive(a: &Matrix, b: &Matrix) -> Matrix {
@@ -465,62 +381,6 @@ mod tests {
             out
         }
         let mut rng = SimRng::seed_from_u64(304);
-        for _ in 0..64 {
-            let m = rng.gen_range(1usize..7);
-            let k = rng.gen_range(1usize..9);
-            let n = rng.gen_range(1usize..11); // exercises the %4 remainder
-            let sparse = |rng: &mut SimRng| {
-                if rng.gen_range(0u32..3) == 0 {
-                    0.0
-                } else {
-                    rng.gen_range(-3.0f32..3.0)
-                }
-            };
-            let a = Matrix::from_vec(m, k, (0..m * k).map(|_| sparse(&mut rng)).collect());
-            let b = Matrix::from_vec(k, n, (0..k * n).map(|_| sparse(&mut rng)).collect());
-            let fast = a.matmul(&b);
-            let slow = naive(&a, &b);
-            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matmul drifted from reference");
-            }
-        }
-    }
-
-    /// The prepacked path with warm, reused scratch buffers must be
-    /// bit-identical to the allocating `matmul` across varying shapes —
-    /// the batched-inference contract.
-    #[test]
-    fn prepacked_matmul_reuses_buffers_bit_identically() {
-        let mut rng = SimRng::seed_from_u64(305);
-        let mut bt = Vec::new();
-        let mut out = Matrix::zeros(0, 0);
-        for _ in 0..32 {
-            let m = rng.gen_range(1usize..9);
-            let k = rng.gen_range(1usize..9);
-            let n = rng.gen_range(1usize..11);
-            let a = random_matrix(m, k, &mut rng);
-            let b = random_matrix(k, n, &mut rng);
-            b.pack_transposed_into(&mut bt);
-            a.matmul_prepacked_into(n, &bt, &mut out);
-            let reference = a.matmul(&b);
-            assert_eq!(
-                (out.rows(), out.cols()),
-                (reference.rows(), reference.cols())
-            );
-            for (x, y) in out.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "prepacked kernel drifted");
-            }
-        }
-    }
-
-    /// The branchless batched kernel with a warm, reused output buffer
-    /// must be bit-identical to `matmul` for finite operands — including
-    /// ReLU-style zeros on both sides, where the tiled kernel's
-    /// `a == 0.0` skip and the branchless `+= a * w` must land on the
-    /// same bits.
-    #[test]
-    fn matmul_into_is_bit_identical_to_matmul() {
-        let mut rng = SimRng::seed_from_u64(306);
         let mut out = Matrix::zeros(0, 0);
         for _ in 0..64 {
             let m = rng.gen_range(1usize..9);
@@ -536,13 +396,13 @@ mod tests {
             let a = Matrix::from_vec(m, k, (0..m * k).map(|_| sparse(&mut rng)).collect());
             let b = Matrix::from_vec(k, n, (0..k * n).map(|_| sparse(&mut rng)).collect());
             a.matmul_into(&b, &mut out);
-            let reference = a.matmul(&b);
+            let reference = naive(&a, &b);
             assert_eq!(
                 (out.rows(), out.cols()),
                 (reference.rows(), reference.cols())
             );
             for (x, y) in out.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "batched kernel drifted");
+                assert_eq!(x.to_bits(), y.to_bits(), "matmul drifted from reference");
             }
         }
     }
@@ -555,8 +415,8 @@ mod tests {
             let a = random_matrix(2, 3, &mut rng);
             let b = random_matrix(3, 4, &mut rng);
             let c = random_matrix(4, 2, &mut rng);
-            let l = a.matmul(&b).matmul(&c);
-            let r = a.matmul(&b.matmul(&c));
+            let l = matmul(&matmul(&a, &b), &c);
+            let r = matmul(&a, &matmul(&b, &c));
             assert!(approx(&l, &r, 1e-3));
         }
     }

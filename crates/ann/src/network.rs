@@ -114,14 +114,12 @@ impl Network {
     /// returning the logits `[batch, classes]` as a borrow of the
     /// scratch.
     ///
-    /// Runs the branchless batched matmul kernel
-    /// ([`crate::matrix::Matrix::matmul_into`]) once per layer for the
-    /// whole batch instead of once per row, ping-ponging activations
-    /// between two reused matrices. Zero allocations once the scratch is
-    /// warm, and each output row is bit-identical to
-    /// [`Network::forward`] on that row alone (the kernel treats rows
-    /// independently and matches the row-at-a-time kernel bit for bit on
-    /// finite weights).
+    /// Runs the matmul kernel ([`crate::matrix::Matrix::matmul_into`])
+    /// once per layer for the whole batch instead of once per row,
+    /// ping-ponging activations between two reused matrices. Zero
+    /// allocations once the scratch is warm, and each output row is
+    /// bit-identical to [`Network::forward`] on that row alone (the
+    /// kernel treats rows independently).
     ///
     /// # Panics
     ///

@@ -12,13 +12,13 @@
 //! (`examples/ablation_study.rs`).
 
 use bench::harness::Group;
-use bench::{bench_ssd, four_tenant_mix};
+use bench::{bench_ssd, four_tenant_mix, simulate};
 use flash_sim::scheduler::SchedPolicy;
-use flash_sim::{Simulator, SsdConfig, TenantLayout};
+use flash_sim::{SsdConfig, TenantLayout};
 
 fn run_once(cfg: SsdConfig, trace: &[flash_sim::IoRequest]) -> flash_sim::SimReport {
     let layout = TenantLayout::shared(4, &cfg).with_lpn_space_all(1 << 10);
-    Simulator::new(cfg, layout).unwrap().run(trace).unwrap()
+    simulate(cfg, layout, trace)
 }
 
 fn plane_parallelism() {
@@ -99,7 +99,7 @@ fn gc_threshold() {
                 ..bench_ssd()
             };
             let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-            Simulator::new(cfg, layout).unwrap().run(&trace).unwrap()
+            simulate(cfg, layout, &trace)
         });
     }
     group.finish();

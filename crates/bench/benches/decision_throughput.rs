@@ -2,15 +2,13 @@
 //! `label_farm` gates.
 //!
 //! **Decisions.** One keeper window's worth of feature vectors (batch
-//! 256) pushed through the allocator three ways: row-at-a-time
-//! [`ssdkeeper::ChannelAllocator::predict`] (the baseline), the batched
-//! scratch-buffer path (`predict_batch_into`, the current number), and
-//! the batched path on the i16 quantized backend. All three must agree
-//! decision-for-decision (the batch kernel is row-independent and the
-//! quantized backend is arg-max equivalent on the feature domain), so
-//! the timing difference is pure execution strategy, never different
-//! answers. `decisions_per_sec` is derived from the median of N timed
-//! passes.
+//! 256) pushed through the allocator two ways: row-at-a-time
+//! [`ssdkeeper::ChannelAllocator::predict`] (the baseline) and the
+//! batched scratch-buffer path (`predict_batch_into`, the current
+//! number). Both must agree decision-for-decision (the batch kernel is
+//! row-independent), so the timing difference is pure execution
+//! strategy, never different answers. `decisions_per_sec` is derived from
+//! the median of N timed passes.
 //!
 //! **Labels.** The parallel label farm
 //! ([`ssdkeeper::learner::Learner::generate_dataset_parallel`]) at one
@@ -116,13 +114,11 @@ fn main() {
 
     // --- Decisions ------------------------------------------------------
     let allocator = bench::bench_allocator();
-    let quantized = allocator.quantized();
     let features = corpus(BATCH);
 
-    // Correctness before timing: all three paths decide identically.
+    // Correctness before timing: both paths decide identically.
     let rowwise: Vec<_> = features.iter().map(|f| allocator.predict(f)).collect();
     assert_eq!(allocator.predict_batch(&features), rowwise);
-    assert_eq!(quantized.predict_batch(&features), rowwise);
 
     let decisions = (BATCH * PASSES) as u64;
     let row_ns = median_ns(iters, warmup, || {
@@ -140,26 +136,15 @@ fn main() {
             black_box(out.len());
         }
     });
-    let quant_ns = median_ns(iters, warmup, || {
-        for _ in 0..PASSES {
-            quantized.predict_batch_into(&features, &mut scratch, &mut out);
-            black_box(out.len());
-        }
-    });
 
     let dps = |ns: u64| decisions as f64 / (ns as f64 / 1e9).max(1e-12);
-    let (dps_row, dps_batch, dps_quant) = (dps(row_ns), dps(batch_ns), dps(quant_ns));
+    let (dps_row, dps_batch) = (dps(row_ns), dps(batch_ns));
     let speedup = dps_batch / dps_row;
-    let quant_speedup = dps_quant / dps_row;
     println!("decision_throughput/batch={BATCH} decisions={decisions} iters={iters}");
     println!("decision_throughput/rowwise   median={row_ns}ns  {dps_row:.0} decisions/s");
     println!(
         "decision_throughput/batched   median={batch_ns}ns  {dps_batch:.0} decisions/s  \
          speedup {speedup:.2}x"
-    );
-    println!(
-        "decision_throughput/quantized median={quant_ns}ns  {dps_quant:.0} decisions/s  \
-         speedup {quant_speedup:.2}x"
     );
     if strict {
         assert!(
@@ -218,9 +203,7 @@ fn main() {
              \"decisions\": {decisions},\n      \
              \"baseline\": {{ \"median_ns\": {row_ns}, \"decisions_per_sec\": {dps_row:.1} }},\n      \
              \"current\": {{ \"median_ns\": {batch_ns}, \"decisions_per_sec\": {dps_batch:.1} }},\n      \
-             \"quantized\": {{ \"median_ns\": {quant_ns}, \"decisions_per_sec\": {dps_quant:.1} }},\n      \
-             \"speedup_batched_vs_rowwise\": {speedup:.3},\n      \
-             \"speedup_quantized_vs_rowwise\": {quant_speedup:.3}\n    }}"
+             \"speedup_batched_vs_rowwise\": {speedup:.3}\n    }}"
         );
         let spliced = report::splice_entry(&existing, "decision_throughput", &decide_entry);
         let farm_entry = format!(

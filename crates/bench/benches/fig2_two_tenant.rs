@@ -6,6 +6,7 @@
 
 use bench::harness::Group;
 use bench::{bench_ssd, two_tenant_mix};
+use flash_sim::SimArena;
 use parallel::PoolConfig;
 use ssdkeeper::label::{run_under_strategy, EvalConfig};
 use ssdkeeper::Strategy;
@@ -27,8 +28,15 @@ fn fig2_strategies() {
             Strategy::TwoPart { write_channels: 6 },
         ] {
             group.bench(&format!("wp{write_pct}/{strategy}"), || {
-                run_under_strategy(&trace, strategy, &[0, 1], &[1 << 10, 1 << 10], &eval)
-                    .expect("bench workload fits the device")
+                run_under_strategy(
+                    &trace,
+                    strategy,
+                    &[0, 1],
+                    &[1 << 10, 1 << 10],
+                    &eval,
+                    &mut SimArena::new(),
+                )
+                .expect("bench workload fits the device")
             });
         }
     }

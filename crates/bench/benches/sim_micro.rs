@@ -1,11 +1,11 @@
 //! Simulator micro-benchmarks: event-processing throughput, allocation
 //! policies, FTL write path, and trace codec.
 
-use bench::bench_ssd;
 use bench::harness::Group;
+use bench::{bench_ssd, simulate};
 use flash_sim::ftl::Ftl;
 use flash_sim::trace::{decode_trace, encode_trace};
-use flash_sim::{IoRequest, Op, PageAllocPolicy, Simulator, TenantLayout};
+use flash_sim::{IoRequest, Op, PageAllocPolicy, TenantLayout};
 
 fn sequential_write_trace(n: u64) -> Vec<IoRequest> {
     (0..n)
@@ -37,7 +37,7 @@ fn engine_throughput() {
         group.bench(&format!("mixed_requests/{n}"), || {
             let cfg = bench_ssd();
             let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(1 << 10);
-            Simulator::new(cfg, layout).unwrap().run(&trace).unwrap()
+            simulate(cfg, layout, &trace)
         });
     }
     group.finish();
@@ -53,7 +53,7 @@ fn allocation_policies() {
             let layout = TenantLayout::shared(1, &cfg)
                 .with_lpn_space_all(1 << 10)
                 .with_policy(0, policy);
-            Simulator::new(cfg, layout).unwrap().run(&trace).unwrap()
+            simulate(cfg, layout, &trace)
         });
     }
     group.finish();

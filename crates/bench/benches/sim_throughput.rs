@@ -16,7 +16,7 @@
 //!   highest event rate per unit of simulated time.
 //!
 //! Device construction and preconditioning happen outside the timed
-//! region; the measurement covers exactly `Simulator::run`, i.e. the
+//! region; the measurement covers exactly `Simulator::run_reclaim`, i.e. the
 //! discrete-event hot path the ROADMAP says must run "as fast as the
 //! hardware allows". Events/sec uses `SimReport::events_processed`
 //! (deterministic for a given trace) over the **median** wall time of the
@@ -214,12 +214,15 @@ struct RunSample {
 
 fn run_once(w: &Workload) -> RunSample {
     let layout = TenantLayout::shared(1, &w.cfg).with_lpn_space_all(w.lpn_space);
+    let mut arena = SimArena::new();
     let sim = SimBuilder::new(w.cfg.clone(), layout)
         .precondition(&[1.0])
-        .build()
+        .build_with_arena(&mut arena)
         .expect("bench config is valid");
     let start = Instant::now();
-    let report = sim.run(&w.trace).expect("bench trace runs clean");
+    let report = sim
+        .run_reclaim(&w.trace, &mut arena)
+        .expect("bench trace runs clean");
     let elapsed = start.elapsed();
     black_box(&report);
     RunSample {
@@ -235,13 +238,16 @@ fn run_once(w: &Workload) -> RunSample {
 fn run_once_recorded(w: &Workload) -> RunSample {
     let layout = TenantLayout::shared(1, &w.cfg).with_lpn_space_all(w.lpn_space);
     let mut rec = EventRecorder::with_capacity(1 << 16);
+    let mut arena = SimArena::new();
     let sim = SimBuilder::new(w.cfg.clone(), layout)
         .precondition(&[1.0])
         .probe(&mut rec)
-        .build()
+        .build_with_arena(&mut arena)
         .expect("bench config is valid");
     let start = Instant::now();
-    let report = sim.run(&w.trace).expect("bench trace runs clean");
+    let report = sim
+        .run_reclaim(&w.trace, &mut arena)
+        .expect("bench trace runs clean");
     let elapsed = start.elapsed();
     black_box(&report);
     black_box(rec.len());
@@ -299,10 +305,13 @@ fn measure_warm_rerun(w: &Workload, iters: usize, warmup: usize) -> RerunResult 
 
     let cold_once = || {
         let start = Instant::now();
+        let mut arena = SimArena::new();
         let sim = SimBuilder::new(w.cfg.clone(), layout.clone())
-            .build()
+            .build_with_arena(&mut arena)
             .expect("bench config is valid");
-        let report = sim.run(&w.trace).expect("bench trace runs clean");
+        let report = sim
+            .run_reclaim(&w.trace, &mut arena)
+            .expect("bench trace runs clean");
         let elapsed = start.elapsed();
         black_box(&report);
         elapsed

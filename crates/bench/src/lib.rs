@@ -9,7 +9,7 @@
 pub mod harness;
 pub mod report;
 
-use flash_sim::{IoRequest, SsdConfig};
+use flash_sim::{IoRequest, SimArena, SimBuilder, SimReport, SsdConfig, TenantLayout};
 use ssdkeeper::label::EvalConfig;
 use ssdkeeper::learner::{DatasetSpec, LabelledDataset, Learner};
 use ssdkeeper::{ChannelAllocator, FeatureVector};
@@ -23,6 +23,16 @@ pub fn bench_ssd() -> SsdConfig {
         pages_per_block: 32,
         ..SsdConfig::paper_table1()
     }
+}
+
+/// One cold simulation: build from a fresh arena and run `trace`.
+pub fn simulate(cfg: SsdConfig, layout: TenantLayout, trace: &[IoRequest]) -> SimReport {
+    let mut arena = SimArena::new();
+    SimBuilder::new(cfg, layout)
+        .build_with_arena(&mut arena)
+        .expect("bench device is valid")
+        .run_reclaim(trace, &mut arena)
+        .expect("bench trace runs clean")
 }
 
 /// A two-tenant writer/reader mix at the given write proportion.

@@ -1,11 +1,9 @@
 //! `decide` — exercises the decision-throughput layer end to end: a
 //! deterministic corpus of keeper feature vectors pushed through the
-//! channel allocator row-at-a-time, batched, and batched on the i16
-//! quantized backend.
+//! channel allocator row-at-a-time and batched.
 //!
-//! All three paths must agree decision-for-decision (the batched kernel
-//! is row-independent and the quantized backend is arg-max equivalent on
-//! the feature domain); the binary exits non-zero if they ever diverge,
+//! Both paths must agree decision-for-decision (the batched kernel is
+//! row-independent); the binary exits non-zero if they ever diverge,
 //! which is what makes it a verify gate and not just a stopwatch. The
 //! printed `decide digest` line is a pure function of `--seed` and
 //! `--batch` — never of timing or `--passes`.
@@ -79,18 +77,14 @@ fn main() {
         ann::Network::paper_topology(ann::Activation::Logistic, seed),
         120_000.0,
     );
-    let quantized = allocator.quantized();
     let features = corpus(seed, batch);
 
-    // Agreement gate: every path must make the same call on every row.
+    // Agreement gate: both paths must make the same call on every row.
     let rowwise: Vec<_> = features.iter().map(|f| allocator.predict(f)).collect();
     let batched = allocator.predict_batch(&features);
-    let quant = quantized.predict_batch(&features);
-    for (i, ((r, b), q)) in rowwise.iter().zip(&batched).zip(&quant).enumerate() {
-        if r != b || r != q {
-            eprintln!(
-                "decide: paths diverged on row {i}: rowwise {r:?}, batched {b:?}, quantized {q:?}"
-            );
+    for (i, (r, b)) in rowwise.iter().zip(&batched).enumerate() {
+        if r != b {
+            eprintln!("decide: paths diverged on row {i}: rowwise {r:?}, batched {b:?}");
             std::process::exit(2);
         }
     }
@@ -115,11 +109,6 @@ fn main() {
             allocator.predict_batch_into(&features, &mut scratch, &mut out);
         }
     });
-    let quant_s = time(&mut || {
-        for _ in 0..passes {
-            quantized.predict_batch_into(&features, &mut scratch, &mut out);
-        }
-    });
 
     println!("decide: batch {batch}, {passes} passes, {decisions} decisions per path");
     println!("  rowwise   {:>10.0} decisions/s", decisions as f64 / row_s);
@@ -128,12 +117,7 @@ fn main() {
         decisions as f64 / batch_s,
         row_s / batch_s
     );
-    println!(
-        "  quantized {:>10.0} decisions/s  ({:.2}x)",
-        decisions as f64 / quant_s,
-        row_s / quant_s
-    );
-    println!("  agreement: {} rows, all three paths identical", batch);
+    println!("  agreement: {} rows, both paths identical", batch);
 
     // Stable, parseable determinism handle (compared by verify.sh).
     println!("decide digest: 0x{:016x}", digest(&batched));

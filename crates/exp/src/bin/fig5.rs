@@ -12,7 +12,7 @@
 //! adapt-once session is re-run with an [`EventRecorder`] attached and
 //! the captured events (command lifecycle, bus occupancy, GC passes,
 //! reallocation, the keeper decision) are written to `path` in the SSDP
-//! little-endian codec (`ssdkeeper::obs::decode_events` reads it back).
+//! little-endian codec (`flash_sim::probe::decode_events` reads it back).
 //! The tables always run on simulated timing; `--backend file:<path>`
 //! switches the `--trace-out` session to real-I/O replay, so the capture
 //! carries measured latencies instead of modeled ones.
@@ -21,10 +21,10 @@ use exp::args::Args;
 use exp::fig5::{
     build_mix, render_fig5, render_percentiles, render_summary, render_tables45, run, Fig5Config,
 };
+use flash_sim::probe::EventRecorder;
 use flash_sim::BackendKind;
-use ssdkeeper::keeper::{Keeper, KeeperConfig};
+use ssdkeeper::keeper::{Keeper, KeeperConfig, RunSpec};
 use ssdkeeper::learner::{DatasetSpec, Learner, OptimizerChoice};
-use ssdkeeper::obs::{EventRecorder, RunSpec};
 use ssdkeeper::ChannelAllocator;
 use workloads::msr::paper_mix_profiles;
 

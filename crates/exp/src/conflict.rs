@@ -7,7 +7,7 @@
 //! execution unit or the bus, split by class, plus GC interference.
 
 use crate::table::{f2, Table};
-use flash_sim::SsdConfig;
+use flash_sim::{SimArena, SsdConfig};
 use parallel::PoolConfig;
 use ssdkeeper::label::{run_under_strategy, EvalConfig};
 use ssdkeeper::Strategy;
@@ -75,12 +75,19 @@ pub fn run(cfg: &ConflictConfig) -> Vec<ConflictRow> {
         hybrid: false,
         pool: PoolConfig::auto(),
     };
+    let mut arena = SimArena::new();
     Strategy::all_for_tenants(2)
         .into_iter()
         .map(|strategy| {
-            let report =
-                run_under_strategy(&trace, strategy, &[0, 1], &[lpn_space, lpn_space], &eval)
-                    .expect("conflict sweep fits the device");
+            let report = run_under_strategy(
+                &trace,
+                strategy,
+                &[0, 1],
+                &[lpn_space, lpn_space],
+                &eval,
+                &mut arena,
+            )
+            .expect("conflict sweep fits the device");
             ConflictRow {
                 strategy,
                 read_conflict: report.read_breakdown.conflict_fraction(),

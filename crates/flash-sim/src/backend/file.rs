@@ -37,7 +37,7 @@ use crate::geometry::Geometry;
 use crate::probe::{BusAcquire, BusRelease, CmdComplete, CmdIssue, Probe, ReallocApply};
 use crate::request::{IoRequest, Op};
 use crate::scheduler::CmdClass;
-use crate::sim::{validate_reallocation, validate_trace, Reallocation, SimError};
+use crate::sim::{validate_reallocation, validate_trace, Reallocation, SimArena, SimError};
 use crate::stats::{LatencyBreakdown, LatencyStats, SimReport, TenantReport};
 use crate::tenant::{ChannelSet, TenantLayout};
 
@@ -190,6 +190,7 @@ impl Backend for FileBackend {
         mut self: Box<Self>,
         trace: &[IoRequest],
         probe: &mut dyn Probe,
+        _arena: &mut SimArena,
     ) -> Result<SimReport, SimError> {
         obs::span!("backend_file");
         validate_trace(trace, self.layout.tenant_count())?;

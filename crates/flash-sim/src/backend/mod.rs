@@ -15,8 +15,9 @@
 //!
 //! Construct either via [`crate::SimBuilder::build_backend`] with a
 //! [`BackendKind`], schedule reallocations, then [`Backend::run`] with a
-//! probe. The trait object erases the difference, which is what lets the
-//! keeper act as a policy engine over interchangeable execution layers.
+//! probe and a [`SimArena`]. The trait object erases the difference, which
+//! is what lets the keeper act as a policy engine over interchangeable
+//! execution layers.
 
 mod file;
 pub(crate) mod uring;
@@ -31,12 +32,11 @@ use crate::request::IoRequest;
 use crate::sim::{validate_device, validate_reallocation, Reallocation, SimArena, SimError};
 use crate::stats::SimReport;
 use crate::SimBuilder;
-use crate::{SsdConfig, TenantLayout};
 
 /// One run's command-execution engine. Implementations are one-shot:
 /// [`Backend::run`] consumes the backend, mirroring
-/// [`crate::Simulator::run`], so every report corresponds to a fresh
-/// device state.
+/// [`crate::Simulator::run_reclaim`], so every report corresponds to a
+/// fresh device state.
 pub trait Backend {
     /// Stable backend identifier (`"sim"` or `"file"`).
     fn name(&self) -> &'static str;
@@ -50,27 +50,16 @@ pub trait Backend {
     fn schedule_reallocation(&mut self, realloc: Reallocation) -> Result<(), SimError>;
 
     /// Replays the trace to completion, emitting every hook to `probe`,
-    /// and returns the end-of-run report.
+    /// and returns the end-of-run report. [`SimBackend`] builds its engine
+    /// out of (and reclaims it back into) `arena`, so repeated runs are
+    /// warm-allocation-free; backends whose run state is not arena-shaped
+    /// (real-I/O replay) ignore it.
     fn run(
         self: Box<Self>,
         trace: &[IoRequest],
         probe: &mut dyn Probe,
+        arena: &mut SimArena,
     ) -> Result<SimReport, SimError>;
-
-    /// Like [`Backend::run`], but builds the engine out of (and reclaims
-    /// it back into) a caller-owned [`SimArena`]. The default simply
-    /// ignores the arena — backends whose run state is not arena-shaped
-    /// (e.g. real-I/O replay) keep their plain path — while
-    /// [`SimBackend`] overrides it to make repeated runs
-    /// warm-allocation-free.
-    fn run_with_arena(
-        self: Box<Self>,
-        trace: &[IoRequest],
-        probe: &mut dyn Probe,
-        _arena: &mut SimArena,
-    ) -> Result<SimReport, SimError> {
-        self.run(trace, probe)
-    }
 }
 
 /// Which backend a run should execute on. Parses from the CLI surface
@@ -118,34 +107,20 @@ impl std::str::FromStr for BackendKind {
 }
 
 /// The simulated-timing backend: [`crate::Simulator`] behind the
-/// [`Backend`] interface. Construction defers building the simulator to
-/// [`Backend::run`] (the probe arrives there), but validates config and
-/// capacity eagerly so errors surface at build time, exactly as
-/// [`crate::SimBuilder::build`] would.
+/// [`Backend`] interface. Holds the [`SimBuilder`] and defers the build to
+/// [`Backend::run`] (the probe and arena arrive there), but validates
+/// config and capacity eagerly so errors surface at build time, exactly as
+/// [`SimBuilder::build_with_arena`] would.
 pub struct SimBackend {
-    cfg: SsdConfig,
-    layout: TenantLayout,
-    fill_fractions: Vec<f64>,
-    cmd_slot_limit: Option<u32>,
+    builder: SimBuilder,
     reallocs: Vec<Reallocation>,
 }
 
 impl SimBackend {
-    pub(crate) fn new(
-        cfg: SsdConfig,
-        layout: TenantLayout,
-        fill_fractions: Vec<f64>,
-        cmd_slot_limit: Option<u32>,
-    ) -> Result<Self, SimError> {
-        // Same validation surface as SimBuilder::build, minus the probe:
-        // config and capacity are checked eagerly without paying for a
-        // throwaway engine build.
-        validate_device(&cfg, &layout)?;
+    pub(crate) fn new(builder: SimBuilder) -> Result<Self, SimError> {
+        validate_device(&builder.cfg, &builder.layout)?;
         Ok(Self {
-            cfg,
-            layout,
-            fill_fractions,
-            cmd_slot_limit,
+            builder,
             reallocs: Vec::new(),
         })
     }
@@ -164,8 +139,8 @@ impl Backend for SimBackend {
         validate_reallocation(
             &realloc,
             self.reallocs.last().map(|r| r.at_ns),
-            self.layout.tenant_count(),
-            self.cfg.channels,
+            self.builder.layout.tenant_count(),
+            self.builder.cfg.channels,
         )?;
         self.reallocs.push(realloc);
         Ok(())
@@ -175,27 +150,13 @@ impl Backend for SimBackend {
         self: Box<Self>,
         trace: &[IoRequest],
         probe: &mut dyn Probe,
-    ) -> Result<SimReport, SimError> {
-        self.run_with_arena(trace, probe, &mut SimArena::new())
-    }
-
-    fn run_with_arena(
-        self: Box<Self>,
-        trace: &[IoRequest],
-        probe: &mut dyn Probe,
         arena: &mut SimArena,
     ) -> Result<SimReport, SimError> {
         // `&mut dyn Probe` is itself a Probe (forwarding impl), so this
         // monomorphizes to exactly the engine the keeper always ran —
         // golden digests and SSDP captures stay byte-identical.
         obs::span!("backend_sim");
-        let mut sim = crate::Simulator::with_probe_arena(self.cfg, self.layout, probe, arena)?;
-        if let Some(limit) = self.cmd_slot_limit {
-            sim.set_cmd_slot_limit(limit);
-        }
-        if !self.fill_fractions.is_empty() {
-            sim.precondition(&self.fill_fractions)?;
-        }
+        let mut sim = self.builder.probe(probe).build_with_arena(arena)?;
         for r in self.reallocs {
             sim.schedule_reallocation(r)?;
         }
@@ -213,12 +174,13 @@ impl SimBuilder {
     /// backend only; the file backend performs real I/O and ignores
     /// them.
     pub fn build_backend(self, kind: &BackendKind) -> Result<Box<dyn Backend>, SimError> {
-        let (cfg, layout, fills, limit) = self.into_parts();
         match kind {
-            BackendKind::Sim => Ok(Box::new(SimBackend::new(cfg, layout, fills, limit)?)),
-            BackendKind::File { path } => {
-                Ok(Box::new(FileBackend::new(cfg, layout, path.clone())?))
-            }
+            BackendKind::Sim => Ok(Box::new(SimBackend::new(self)?)),
+            BackendKind::File { path } => Ok(Box::new(FileBackend::new(
+                self.cfg,
+                self.layout,
+                path.clone(),
+            )?)),
         }
     }
 }

@@ -25,18 +25,21 @@
 //! # Quick example
 //!
 //! ```
-//! use flash_sim::{SsdConfig, Simulator, TenantLayout, IoRequest, Op, PageAllocPolicy};
+//! use flash_sim::{IoRequest, Op, SimArena, SimBuilder, SsdConfig, TenantLayout};
 //!
 //! let mut cfg = SsdConfig::small_test();
 //! cfg.channels = 4;
 //! // Two tenants striped over all channels, 64 logical pages each.
 //! let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(64);
-//! let mut sim = Simulator::new(cfg, layout).unwrap();
+//! // A fresh arena is a cold build; reuse one to make repeated runs
+//! // allocation-free.
+//! let mut arena = SimArena::new();
+//! let sim = SimBuilder::new(cfg, layout).build_with_arena(&mut arena).unwrap();
 //! let trace = vec![
 //!     IoRequest::new(0, 0, Op::Write, 0, 4, 0),
 //!     IoRequest::new(1, 1, Op::Read, 0, 2, 10_000),
 //! ];
-//! let report = sim.run(&trace).unwrap();
+//! let report = sim.run_reclaim(&trace, &mut arena).unwrap();
 //! assert_eq!(report.total.count, 2);
 //! ```
 #![warn(missing_docs)]

@@ -197,8 +197,8 @@ pub struct NullProbe;
 impl Probe for NullProbe {}
 
 /// Forwarding impl so callers can attach `&mut recorder` and keep the
-/// recorder after [`crate::Simulator::run`] consumes the simulator; also
-/// makes `&mut dyn Probe` itself a probe.
+/// recorder after [`crate::Simulator::run_reclaim`] consumes the
+/// simulator; also makes `&mut dyn Probe` itself a probe.
 impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn on_cmd_issue(&mut self, ev: &CmdIssue) {

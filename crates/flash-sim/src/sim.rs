@@ -449,10 +449,10 @@ pub(crate) fn validate_reallocation(
 
 /// The trace-driven SSD simulator.
 ///
-/// Build one per run: [`Simulator::run`] consumes the instance so that
-/// every report corresponds to a device that started empty (plus lazy read
-/// seeding). Prefer [`Simulator::builder`] for anything beyond the plain
-/// `new` + `run` shape (preconditioning, slot limits, probes).
+/// Build one per run with [`SimBuilder::build_with_arena`]:
+/// [`Simulator::run_reclaim`] consumes the instance so that every report
+/// corresponds to a device that started empty (plus lazy read seeding and
+/// any preconditioning fill).
 ///
 /// The engine is generic over a [`Probe`] sink; the default [`NullProbe`]
 /// monomorphizes every hook into nothing, so un-probed runs carry no
@@ -503,26 +503,27 @@ pub struct Simulator<P: Probe = NullProbe> {
     probe: P,
 }
 
-/// Fluent construction for [`Simulator`]: config + layout, then optional
-/// preconditioning fill, command-slot limit, and probe, then
-/// [`SimBuilder::build`]. Replaces the old `Simulator::new` +
-/// mutate-then-`run` shape at every call site that needed more than the
-/// defaults.
+/// The one way to construct a [`Simulator`]: config + layout, then
+/// optional preconditioning fill, command-slot limit, and probe, then
+/// [`SimBuilder::build_with_arena`]. A fresh [`SimArena`] is the cold
+/// path; [`Simulator::run_reclaim`] runs the trace.
 ///
 /// ```
-/// # use flash_sim::{SimBuilder, SsdConfig, TenantLayout};
+/// # use flash_sim::{SimArena, SimBuilder, SsdConfig, TenantLayout};
 /// let cfg = SsdConfig::small_test();
 /// let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(64);
+/// let mut arena = SimArena::new();
 /// let sim = SimBuilder::new(cfg, layout)
 ///     .precondition(&[0.5])
-///     .build()
+///     .build_with_arena(&mut arena)
 ///     .unwrap();
-/// # let _ = sim;
+/// let report = sim.run_reclaim(&[], &mut arena).unwrap();
+/// # let _ = report;
 /// ```
 #[derive(Debug)]
 pub struct SimBuilder<P: Probe = NullProbe> {
-    cfg: SsdConfig,
-    layout: TenantLayout,
+    pub(crate) cfg: SsdConfig,
+    pub(crate) layout: TenantLayout,
     fill_fractions: Vec<f64>,
     cmd_slot_limit: Option<u32>,
     probe: P,
@@ -543,8 +544,13 @@ impl SimBuilder {
 }
 
 impl<P: Probe> SimBuilder<P> {
-    /// Preconditions the device at build time: per-tenant fill fractions
-    /// as in [`Simulator::precondition`].
+    /// Preconditions the device at build time: marks the first
+    /// `fill_fraction` of each tenant's logical space as already written
+    /// (statically striped, zero simulated time), so the measured run
+    /// starts from a filled device instead of a factory-fresh one —
+    /// standard SSD evaluation methodology. Preconditioned pages appear
+    /// in [`crate::ftl::FtlStats::seeded_pages`]. Fractions are clamped
+    /// to `[0, 1]`.
     pub fn precondition(mut self, fill_fractions: &[f64]) -> Self {
         self.fill_fractions = fill_fractions.to_vec();
         self
@@ -558,7 +564,7 @@ impl<P: Probe> SimBuilder<P> {
     }
 
     /// Attaches a probe. Pass `&mut recorder` to keep the recorder after
-    /// [`Simulator::run`] consumes the simulator.
+    /// [`Simulator::run_reclaim`] consumes the simulator.
     pub fn probe<Q: Probe>(self, probe: Q) -> SimBuilder<Q> {
         SimBuilder {
             cfg: self.cfg,
@@ -569,33 +575,138 @@ impl<P: Probe> SimBuilder<P> {
         }
     }
 
-    /// Decomposes the builder for [`crate::SimBuilder::build_backend`],
-    /// which re-assembles the pieces into a backend of the chosen kind.
-    pub(crate) fn into_parts(self) -> (SsdConfig, TenantLayout, Vec<f64>, Option<u32>) {
-        (
-            self.cfg,
-            self.layout,
-            self.fill_fractions,
-            self.cmd_slot_limit,
-        )
-    }
-
-    /// Validates and constructs the simulator.
-    pub fn build(self) -> Result<Simulator<P>, SimError> {
-        self.build_with_arena(&mut SimArena::new())
-    }
-
-    /// [`SimBuilder::build`] drawing every run-path buffer from `arena`:
-    /// buffers recycled from a previous run (see
-    /// [`Simulator::run_reclaim`]) are reset in place instead of
-    /// reallocated, so warm rebuilds allocate nothing.
+    /// Validates the configuration and constructs the simulator, drawing
+    /// every run-path buffer from `arena`: buffers recycled from a previous
+    /// run (see [`Simulator::run_reclaim`]) are reset in place instead of
+    /// reallocated, so warm rebuilds allocate nothing; buffers whose shape
+    /// no longer matches are rebuilt. A fresh [`SimArena`] is the cold
+    /// build.
+    ///
+    /// Fails when the configuration is invalid or when the tenants'
+    /// logical spaces would statically overflow the planes they stripe
+    /// over (see [`SimError::CapacityExceeded`]).
     pub fn build_with_arena(self, arena: &mut SimArena) -> Result<Simulator<P>, SimError> {
-        let mut sim = Simulator::with_probe_arena(self.cfg, self.layout, self.probe, arena)?;
-        if let Some(limit) = self.cmd_slot_limit {
+        let SimBuilder {
+            cfg,
+            layout,
+            fill_fractions,
+            cmd_slot_limit,
+            probe,
+        } = self;
+        cfg.validate()?;
+        // Reuse the previous run's geometry when the dimensions match, so
+        // the warm path skips rebuilding its coordinate tables.
+        let geo = match arena.parts.geo.take() {
+            Some(g) if g.matches(&cfg) => g,
+            _ => Geometry::new(&cfg),
+        };
+        {
+            // Validation runs before any buffer leaves the arena, so an
+            // error here cannot strand its contents. The demand scratch
+            // stays inside the arena: it is build-time-only state.
+            let scratch = &mut arena.parts.capacity_scratch;
+            check_capacity(&cfg, &geo, &layout, scratch)?;
+        }
+        let p = &mut arena.parts;
+        let ftl = match p.ftl.take() {
+            Some(mut f) => {
+                if f.reset(&cfg, &layout) {
+                    f
+                } else {
+                    Ftl::new(&cfg, &layout)
+                }
+            }
+            None => Ftl::new(&cfg, &layout),
+        };
+        let tenant_count = layout.tenant_count();
+        let unit_count = if cfg.plane_parallelism {
+            geo.total_planes()
+        } else {
+            geo.total_dies()
+        };
+        let mut units = std::mem::take(&mut p.units);
+        for d in &mut units {
+            d.reset();
+        }
+        units.resize_with(unit_count, DieSched::default);
+        let mut buses = std::mem::take(&mut p.buses);
+        for b in &mut buses {
+            b.reset();
+        }
+        buses.resize_with(geo.channels(), BusSched::default);
+        let events = match p.events.take() {
+            Some(mut e) => {
+                e.reset();
+                e
+            }
+            None => EventQueue::default(),
+        };
+        let mut cmds = std::mem::take(&mut p.cmds);
+        cmds.reset();
+        let mut reqs = std::mem::take(&mut p.reqs);
+        reqs.clear();
+        let mut realloc = std::mem::take(&mut p.realloc);
+        realloc.clear();
+        let mut backlog_scratch = std::mem::take(&mut p.backlog_scratch);
+        backlog_scratch.clear();
+        backlog_scratch.resize(geo.total_planes(), 0);
+        let mut in_flight = std::mem::take(&mut p.in_flight);
+        in_flight.clear();
+        in_flight.resize(tenant_count, 0);
+        let mut host_next = std::mem::take(&mut p.host_next);
+        host_next.clear();
+        let mut hq_head = std::mem::take(&mut p.hq_head);
+        hq_head.clear();
+        hq_head.resize(tenant_count, NO_REQ);
+        let mut hq_tail = std::mem::take(&mut p.hq_tail);
+        hq_tail.clear();
+        hq_tail.resize(tenant_count, NO_REQ);
+        let mut phases = p.phases.take().unwrap_or_default();
+        *phases = PhaseReport::default();
+        let mut tenants = std::mem::take(&mut arena.spare_tenants);
+        tenants.clear();
+        tenants.resize(tenant_count, TenantReport::default());
+        let mut bus_busy_ns = std::mem::take(&mut arena.spare_bus_busy);
+        bus_busy_ns.clear();
+        bus_busy_ns.resize(geo.channels(), 0);
+        let transfer_ns = cfg.page_transfer_ns();
+        let mut sim = Simulator {
+            units,
+            buses,
+            events,
+            cmds,
+            reqs,
+            realloc,
+            next_realloc: 0,
+            next_realloc_at: u64::MAX,
+            transfer_ns,
+            tenants,
+            read: LatencyStats::new(),
+            write: LatencyStats::new(),
+            total: LatencyStats::new(),
+            makespan_ns: 0,
+            events_processed: 0,
+            backlog_scratch,
+            bus_busy_ns,
+            in_flight,
+            host_next,
+            hq_head,
+            hq_tail,
+            read_breakdown: LatencyBreakdown::default(),
+            write_breakdown: LatencyBreakdown::default(),
+            gc_busy_ns: 0,
+            phases,
+            probe,
+            cfg,
+            geo,
+            layout,
+            ftl,
+        };
+        if let Some(limit) = cmd_slot_limit {
             sim.cmds.slot_limit = limit;
         }
-        if !self.fill_fractions.is_empty() {
-            sim.precondition(&self.fill_fractions)?;
+        if !fill_fractions.is_empty() {
+            sim.precondition(&fill_fractions)?;
         }
         Ok(sim)
     }
@@ -603,10 +714,10 @@ impl<P: Probe> SimBuilder<P> {
 
 /// Recyclable allocation pool for repeated [`Simulator`] runs.
 ///
-/// A cold [`SimBuilder::build`] allocates the FTL mapping tables, the
-/// command arena, the timer wheel, and every queue from scratch;
-/// [`SimBuilder::build_with_arena`] instead resets buffers reclaimed from
-/// a previous run ([`Simulator::run_reclaim`]) in place, so a warm
+/// A build from a fresh arena allocates the FTL mapping tables, the
+/// command arena, the timer wheel, and every queue from scratch; a build
+/// from a used one resets the buffers [`Simulator::run_reclaim`] handed
+/// back in place, so a warm
 /// build + run performs zero heap allocations when the device shape is
 /// unchanged (a changed shape transparently rebuilds what no longer
 /// fits). Reports can be recycled too via [`SimArena::recycle_report`].
@@ -737,149 +848,7 @@ impl SimArena {
     }
 }
 
-impl Simulator {
-    /// Creates a simulator for `cfg` and the initial tenant `layout`.
-    ///
-    /// Fails when the configuration is invalid or when the tenants'
-    /// logical spaces would statically overflow the planes they stripe
-    /// over (see [`SimError::CapacityExceeded`]).
-    pub fn new(cfg: SsdConfig, layout: TenantLayout) -> Result<Self, SimError> {
-        Self::with_probe(cfg, layout, NullProbe)
-    }
-
-    /// Starts a [`SimBuilder`] for `cfg` and `layout`.
-    pub fn builder(cfg: SsdConfig, layout: TenantLayout) -> SimBuilder {
-        SimBuilder::new(cfg, layout)
-    }
-}
-
 impl<P: Probe> Simulator<P> {
-    /// Creates a simulator with an attached probe; see [`Simulator::new`]
-    /// for the validation performed.
-    pub fn with_probe(cfg: SsdConfig, layout: TenantLayout, probe: P) -> Result<Self, SimError> {
-        Self::with_probe_arena(cfg, layout, probe, &mut SimArena::new())
-    }
-
-    /// [`Simulator::with_probe`] drawing every run-path buffer from
-    /// `arena` (see [`SimArena`]). Buffers whose shape still matches the
-    /// configuration are reset in place; the rest are rebuilt.
-    pub fn with_probe_arena(
-        cfg: SsdConfig,
-        layout: TenantLayout,
-        probe: P,
-        arena: &mut SimArena,
-    ) -> Result<Self, SimError> {
-        cfg.validate()?;
-        // Reuse the previous run's geometry when the dimensions match, so
-        // the warm path skips rebuilding its coordinate tables.
-        let geo = match arena.parts.geo.take() {
-            Some(g) if g.matches(&cfg) => g,
-            _ => Geometry::new(&cfg),
-        };
-        {
-            // Validation runs before any buffer leaves the arena, so an
-            // error here cannot strand its contents. The demand scratch
-            // stays inside the arena: it is build-time-only state.
-            let scratch = &mut arena.parts.capacity_scratch;
-            check_capacity(&cfg, &geo, &layout, scratch)?;
-        }
-        let p = &mut arena.parts;
-        let ftl = match p.ftl.take() {
-            Some(mut f) => {
-                if f.reset(&cfg, &layout) {
-                    f
-                } else {
-                    Ftl::new(&cfg, &layout)
-                }
-            }
-            None => Ftl::new(&cfg, &layout),
-        };
-        let tenant_count = layout.tenant_count();
-        let unit_count = if cfg.plane_parallelism {
-            geo.total_planes()
-        } else {
-            geo.total_dies()
-        };
-        let mut units = std::mem::take(&mut p.units);
-        for d in &mut units {
-            d.reset();
-        }
-        units.resize_with(unit_count, DieSched::default);
-        let mut buses = std::mem::take(&mut p.buses);
-        for b in &mut buses {
-            b.reset();
-        }
-        buses.resize_with(geo.channels(), BusSched::default);
-        let events = match p.events.take() {
-            Some(mut e) => {
-                e.reset();
-                e
-            }
-            None => EventQueue::default(),
-        };
-        let mut cmds = std::mem::take(&mut p.cmds);
-        cmds.reset();
-        let mut reqs = std::mem::take(&mut p.reqs);
-        reqs.clear();
-        let mut realloc = std::mem::take(&mut p.realloc);
-        realloc.clear();
-        let mut backlog_scratch = std::mem::take(&mut p.backlog_scratch);
-        backlog_scratch.clear();
-        backlog_scratch.resize(geo.total_planes(), 0);
-        let mut in_flight = std::mem::take(&mut p.in_flight);
-        in_flight.clear();
-        in_flight.resize(tenant_count, 0);
-        let mut host_next = std::mem::take(&mut p.host_next);
-        host_next.clear();
-        let mut hq_head = std::mem::take(&mut p.hq_head);
-        hq_head.clear();
-        hq_head.resize(tenant_count, NO_REQ);
-        let mut hq_tail = std::mem::take(&mut p.hq_tail);
-        hq_tail.clear();
-        hq_tail.resize(tenant_count, NO_REQ);
-        let mut phases = p.phases.take().unwrap_or_default();
-        *phases = PhaseReport::default();
-        let mut tenants = std::mem::take(&mut arena.spare_tenants);
-        tenants.clear();
-        tenants.resize(tenant_count, TenantReport::default());
-        let mut bus_busy_ns = std::mem::take(&mut arena.spare_bus_busy);
-        bus_busy_ns.clear();
-        bus_busy_ns.resize(geo.channels(), 0);
-        let transfer_ns = cfg.page_transfer_ns();
-        Ok(Self {
-            units,
-            buses,
-            events,
-            cmds,
-            reqs,
-            realloc,
-            next_realloc: 0,
-            next_realloc_at: u64::MAX,
-            transfer_ns,
-            tenants,
-            read: LatencyStats::new(),
-            write: LatencyStats::new(),
-            total: LatencyStats::new(),
-            makespan_ns: 0,
-            events_processed: 0,
-            backlog_scratch,
-            bus_busy_ns,
-            in_flight,
-            host_next,
-            hq_head,
-            hq_tail,
-            read_breakdown: LatencyBreakdown::default(),
-            write_breakdown: LatencyBreakdown::default(),
-            gc_busy_ns: 0,
-            phases,
-            probe,
-            cfg,
-            geo,
-            layout,
-            ftl,
-        })
-    }
-
     /// Schedules a channel/policy re-allocation to apply at `at_ns`.
     ///
     /// Multiple reallocations may be scheduled; they must be registered in
@@ -895,20 +864,8 @@ impl<P: Probe> Simulator<P> {
         Ok(())
     }
 
-    /// Caps the command arena (see [`SimBuilder::cmd_slot_limit`]).
-    pub(crate) fn set_cmd_slot_limit(&mut self, limit: u32) {
-        self.cmds.slot_limit = limit;
-    }
-
-    /// Preconditions the device: marks the first `fill_fraction` of each
-    /// tenant's logical space as already written (statically striped,
-    /// zero simulated time), so the measured run starts from a filled
-    /// device instead of a factory-fresh one — standard SSD evaluation
-    /// methodology. Preconditioned pages appear in
-    /// [`crate::ftl::FtlStats::seeded_pages`].
-    ///
-    /// Call before [`Simulator::run`]. Fractions are clamped to `[0, 1]`.
-    pub fn precondition(&mut self, fill_fractions: &[f64]) -> Result<(), SimError> {
+    /// Applies [`SimBuilder::precondition`]'s fill.
+    fn precondition(&mut self, fill_fractions: &[f64]) -> Result<(), SimError> {
         for (tenant, &frac) in fill_fractions.iter().enumerate() {
             if tenant >= self.layout.tenant_count() {
                 break;
@@ -922,17 +879,13 @@ impl<P: Probe> Simulator<P> {
         Ok(())
     }
 
-    /// Runs the trace to completion and returns the report.
+    /// Runs the trace to completion and returns the report, then returns
+    /// the simulator's buffers to `arena` for the next
+    /// [`SimBuilder::build_with_arena`]. Reclaims on error exits too, so a
+    /// failed run still recycles its allocations.
     ///
     /// Requirements on the trace: sorted by `arrival_ns`, tenant ids within
     /// the layout, and `size_pages >= 1` everywhere.
-    pub fn run(mut self, trace: &[IoRequest]) -> Result<SimReport, SimError> {
-        self.run_inner(trace)
-    }
-
-    /// [`Simulator::run`], then returns the simulator's buffers to
-    /// `arena` for the next [`SimBuilder::build_with_arena`]. Reclaims on
-    /// error exits too, so a failed run still recycles its allocations.
     pub fn run_reclaim(
         mut self,
         trace: &[IoRequest],
@@ -1283,14 +1236,6 @@ impl<P: Probe> Simulator<P> {
         Ok(())
     }
 
-    /// Caps the command arena at `limit` slots (test hook for exercising
-    /// [`SimError::CmdIdsExhausted`] without 2^32 live commands).
-    #[doc(hidden)]
-    #[deprecated(note = "use SimBuilder::cmd_slot_limit")]
-    pub fn limit_cmd_slots(&mut self, limit: u32) {
-        self.cmds.slot_limit = limit;
-    }
-
     /// If the unit is idle, pops its next command and starts its first
     /// unit-holding phase.
     #[inline]
@@ -1615,6 +1560,16 @@ mod tests {
     use super::*;
     use crate::config::US;
 
+    /// Builds from a fresh arena (the cold path).
+    fn new_sim(cfg: SsdConfig, layout: TenantLayout) -> Result<Simulator, SimError> {
+        SimBuilder::new(cfg, layout).build_with_arena(&mut SimArena::new())
+    }
+
+    /// Runs to completion, reclaiming into a throwaway arena.
+    fn run<P: Probe>(sim: Simulator<P>, trace: &[IoRequest]) -> Result<SimReport, SimError> {
+        sim.run_reclaim(trace, &mut SimArena::new())
+    }
+
     fn small_cfg() -> SsdConfig {
         SsdConfig {
             channels: 2,
@@ -1630,14 +1585,14 @@ mod tests {
     fn one_tenant_sim() -> Simulator {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        Simulator::new(cfg, layout).unwrap()
+        new_sim(cfg, layout).unwrap()
     }
 
     #[test]
     fn single_write_latency_is_transfer_plus_program() {
         let sim = one_tenant_sim();
         let trace = vec![IoRequest::new(0, 0, Op::Write, 0, 1, 0)];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.write.count, 1);
         // 16 KB over 800 MB/s = 20480 ns, + 200 µs program.
         assert_eq!(report.write.min_ns, 20_480 + 200 * US);
@@ -1647,7 +1602,7 @@ mod tests {
     fn single_read_latency_is_array_plus_transfer() {
         let sim = one_tenant_sim();
         let trace = vec![IoRequest::new(0, 0, Op::Read, 0, 1, 0)];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.read.count, 1);
         assert_eq!(report.read.min_ns, 20 * US + 20_480);
         assert_eq!(report.ftl.seeded_pages, 1, "read of unwritten LPN seeds");
@@ -1660,7 +1615,7 @@ mod tests {
         // not two serialized commands.
         let sim = one_tenant_sim();
         let trace = vec![IoRequest::new(0, 0, Op::Read, 0, 2, 0)];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.read.max_ns, 20 * US + 20_480);
     }
 
@@ -1673,7 +1628,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Read, 0, 1, 0),
             IoRequest::new(1, 0, Op::Read, 2, 1, 0),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         // First: 20 µs + transfer. Second: waits die until first releases it
         // after transfer (die held through transfer), then its own 20 µs +
         // transfer.
@@ -1691,7 +1646,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Read, 0, 1, 0),
             IoRequest::new(1, 0, Op::Read, 1, 1, 0),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.read.min_ns, report.read.max_ns, "fully parallel");
     }
 
@@ -1702,7 +1657,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Write, 0, 1, 0),
             IoRequest::new(1, 0, Op::Read, 0, 1, 1),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         let t_xfer = 20_480u64;
         // Write occupies the die for transfer + program; the read then runs.
         let write_done = t_xfer + 200 * US;
@@ -1719,7 +1674,7 @@ mod tests {
             IoRequest::new(1, 0, Op::Write, 2, 1, 1), // queued write, same die
             IoRequest::new(2, 0, Op::Read, 2, 1, 2),  // queued read, same die
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         // The read must finish before the second write.
         assert!(report.read.max_ns + 2 < report.write.max_ns + 1);
     }
@@ -1732,7 +1687,7 @@ mod tests {
             IoRequest::new(1, 0, Op::Read, 0, 1, 50),
         ];
         assert_eq!(
-            sim.run(&trace).unwrap_err(),
+            run(sim, &trace).unwrap_err(),
             SimError::TraceNotSorted { index: 1 }
         );
     }
@@ -1742,7 +1697,7 @@ mod tests {
         let sim = one_tenant_sim();
         let trace = vec![IoRequest::new(0, 9, Op::Read, 0, 1, 0)];
         assert_eq!(
-            sim.run(&trace).unwrap_err(),
+            run(sim, &trace).unwrap_err(),
             SimError::UnknownTenant {
                 index: 0,
                 tenant: 9
@@ -1755,7 +1710,7 @@ mod tests {
         let sim = one_tenant_sim();
         let trace = vec![IoRequest::new(0, 0, Op::Read, 0, 0, 0)];
         assert_eq!(
-            sim.run(&trace).unwrap_err(),
+            run(sim, &trace).unwrap_err(),
             SimError::EmptyRequest { index: 0 }
         );
     }
@@ -1763,7 +1718,7 @@ mod tests {
     #[test]
     fn empty_trace_gives_empty_report() {
         let sim = one_tenant_sim();
-        let report = sim.run(&[]).unwrap();
+        let report = run(sim, &[]).unwrap();
         assert_eq!(report.total.count, 0);
         assert_eq!(report.makespan_ns, 0);
     }
@@ -1772,7 +1727,7 @@ mod tests {
     fn capacity_check_rejects_oversized_tenants() {
         let cfg = small_cfg(); // 64 blocks * 16 pages = 1024 pages/plane
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(1 << 20);
-        match Simulator::new(cfg, layout) {
+        match new_sim(cfg, layout) {
             Err(SimError::CapacityExceeded { .. }) => {}
             other => panic!("expected CapacityExceeded, got {other:?}"),
         }
@@ -1783,7 +1738,7 @@ mod tests {
         let cfg = small_cfg();
         let mk = || {
             let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(256);
-            Simulator::new(cfg.clone(), layout).unwrap()
+            new_sim(cfg.clone(), layout).unwrap()
         };
         let trace: Vec<IoRequest> = (0..200)
             .map(|i| {
@@ -1798,8 +1753,8 @@ mod tests {
                 )
             })
             .collect();
-        let a = mk().run(&trace).unwrap();
-        let b = mk().run(&trace).unwrap();
+        let a = run(mk(), &trace).unwrap();
+        let b = run(mk(), &trace).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1807,7 +1762,7 @@ mod tests {
     fn isolated_tenants_do_not_interfere() {
         let cfg = small_cfg();
         let layout = TenantLayout::isolated(2, &cfg).with_lpn_space_all(128);
-        let sim = Simulator::new(cfg.clone(), layout).unwrap();
+        let sim = new_sim(cfg.clone(), layout).unwrap();
         // Tenant 0 writes heavily on its channel; tenant 1 reads on its own.
         let mut trace = Vec::new();
         let mut id = 0;
@@ -1818,7 +1773,7 @@ mod tests {
             id += 1;
         }
         trace.sort_by_key(|r| r.arrival_ns);
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         // Tenant 1's reads are never delayed by tenant 0's writes: at this
         // arrival spacing (100 µs apart vs 40 µs service) every read takes
         // the unloaded latency.
@@ -1829,7 +1784,7 @@ mod tests {
     fn shared_tenants_do_interfere() {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(128);
-        let sim = Simulator::new(cfg.clone(), layout).unwrap();
+        let sim = new_sim(cfg.clone(), layout).unwrap();
         let mut trace = Vec::new();
         let mut id = 0;
         for i in 0..50u64 {
@@ -1840,7 +1795,7 @@ mod tests {
             id += 1;
         }
         trace.sort_by_key(|r| r.arrival_ns);
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert!(
             report.tenants[1].read.max_ns > 20 * US + 20_480,
             "shared layout must show read/write conflicts"
@@ -1853,7 +1808,7 @@ mod tests {
         let layout = TenantLayout::from_channel_lists(&[vec![0]], &cfg)
             .unwrap()
             .with_lpn_space_all(256);
-        let mut sim = Simulator::new(cfg.clone(), layout).unwrap();
+        let mut sim = new_sim(cfg.clone(), layout).unwrap();
         sim.schedule_reallocation(Reallocation::new(1_000_000, vec![(0, vec![1], None)]))
             .unwrap();
         // Writes before the switch land on channel 0, after on channel 1.
@@ -1861,7 +1816,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Write, 0, 1, 0),
             IoRequest::new(1, 0, Op::Write, 1, 1, 2_000_000),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.write.count, 2);
         // Both writes see an idle device, so identical latency — the switch
         // itself must not add cost.
@@ -1872,7 +1827,7 @@ mod tests {
     fn reallocation_must_be_time_ordered_and_valid() {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(64);
-        let mut sim = Simulator::new(cfg.clone(), layout).unwrap();
+        let mut sim = new_sim(cfg.clone(), layout).unwrap();
         sim.schedule_reallocation(Reallocation::new(100, vec![(0, vec![0], None)]))
             .unwrap();
         assert!(sim
@@ -1911,13 +1866,13 @@ mod tests {
         let layout = TenantLayout::shared(1, &cfg)
             .with_lpn_space_all(256)
             .with_policy(0, PageAllocPolicy::Dynamic);
-        let sim = Simulator::new(cfg.clone(), layout).unwrap();
+        let sim = new_sim(cfg.clone(), layout).unwrap();
         // A burst of writes to the SAME lpn region arriving at once: static
         // would serialize some on one die; dynamic spreads over both dies.
         let trace: Vec<IoRequest> = (0..4)
             .map(|i| IoRequest::new(i, 0, Op::Write, i * 2, 1, 0))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         // 2 dies, 4 writes: worst case two writes per die. The bus is only
         // busy 20 µs per write so programs pipeline; max latency must be
         // below 3 serialized writes on one die.
@@ -1938,13 +1893,13 @@ mod tests {
             ..SsdConfig::small_test()
         };
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(16);
-        let sim = Simulator::new(cfg.clone(), layout).unwrap();
+        let sim = new_sim(cfg.clone(), layout).unwrap();
         // Saturating overwrites force GC; total makespan must exceed the
         // pure write service time because GC holds the die.
         let trace: Vec<IoRequest> = (0..256)
             .map(|i| IoRequest::new(i, 0, Op::Write, i % 16, 1, 0))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert!(report.ftl.gc_invocations > 0);
         let pure_write = 256 * (20_480 + 200 * US);
         assert!(report.makespan_ns > pure_write);
@@ -1961,13 +1916,13 @@ mod tests {
                 ..small_cfg()
             };
             let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-            let sim = Simulator::new(cfg, layout).unwrap();
+            let sim = new_sim(cfg, layout).unwrap();
             // lpns 0 and 2 -> channel 0, same die, planes 0 and 1.
             let trace = vec![
                 IoRequest::new(0, 0, Op::Read, 0, 1, 0),
                 IoRequest::new(1, 0, Op::Read, 2, 1, 0),
             ];
-            sim.run(&trace).unwrap().read.max_ns
+            run(sim, &trace).unwrap().read.max_ns
         };
         let t_xfer = 20_480u64;
         let serialized = run(false);
@@ -1995,11 +1950,11 @@ mod tests {
                 ..SsdConfig::small_test()
             };
             let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-            let sim = Simulator::new(cfg, layout).unwrap();
+            let sim = new_sim(cfg, layout).unwrap();
             let trace: Vec<IoRequest> = (0..8)
                 .map(|i| IoRequest::new(i, 0, Op::Write, i, 1, 0))
                 .collect();
-            sim.run(&trace).unwrap().makespan_ns
+            run(sim, &trace).unwrap().makespan_ns
         };
         let serialized = run(false);
         let pipelined = run(true);
@@ -2016,7 +1971,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Write, 0, 1, 0),
             IoRequest::new(1, 0, Op::Read, 0, 1, 10_000_000),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         let w = report.write_breakdown;
         assert_eq!(w.cmds, 1);
         assert_eq!(w.wait_unit_ns, 0);
@@ -2041,7 +1996,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Read, 0, 1, 0),
             IoRequest::new(1, 0, Op::Read, 2, 1, 0),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         let r = report.read_breakdown;
         assert_eq!(r.cmds, 2);
         assert!(r.wait_unit_ns > 0, "second read queues for the die");
@@ -2056,14 +2011,14 @@ mod tests {
         // latencies (latency = sum of phases for each command).
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let trace: Vec<IoRequest> = (0..100)
             .map(|i| {
                 let op = if i % 3 == 0 { Op::Write } else { Op::Read };
                 IoRequest::new(i, 0, op, (i * 3) % 256, 1, i * 5_000)
             })
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(
             report.read_breakdown.cmds + report.write_breakdown.cmds,
             100
@@ -2083,11 +2038,11 @@ mod tests {
         let layout = TenantLayout::from_channel_lists(&[vec![0]], &cfg)
             .unwrap()
             .with_lpn_space_all(128);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let trace: Vec<IoRequest> = (0..50)
             .map(|i| IoRequest::new(i, 0, Op::Write, i % 128, 1, i * 50_000))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         let util = report.bus_utilization();
         assert_eq!(util.len(), 2);
         assert!(util[0] > 0.0, "channel 0 must carry traffic");
@@ -2101,11 +2056,11 @@ mod tests {
     fn shared_striping_balances_buses() {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(128);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let trace: Vec<IoRequest> = (0..100)
             .map(|i| IoRequest::new(i, 0, Op::Write, i % 128, 1, i * 50_000))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert!(
             report.bus_imbalance() < 1.1,
             "striped writes must balance buses: {:?}",
@@ -2117,12 +2072,14 @@ mod tests {
     fn preconditioning_fills_without_costing_time() {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        let mut sim = Simulator::new(cfg, layout).unwrap();
-        sim.precondition(&[0.5]).unwrap();
+        let sim = SimBuilder::new(cfg, layout)
+            .precondition(&[0.5])
+            .build_with_arena(&mut SimArena::new())
+            .unwrap();
         // Reads of the preconditioned range need no lazy seeding and cost
         // the same as reads of host-written data.
         let trace = vec![IoRequest::new(0, 0, Op::Read, 10, 1, 0)];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(
             report.ftl.seeded_pages, 128,
             "50% of 256 LPNs preconditioned"
@@ -2135,7 +2092,7 @@ mod tests {
     fn preconditioning_brings_gc_forward() {
         // A filled device hits GC with far fewer host writes than a fresh
         // one: compare GC invocations for the same short overwrite burst.
-        let run = |fill: f64| {
+        let gc_passes = |fill: f64| {
             let cfg = SsdConfig {
                 channels: 1,
                 chips_per_channel: 1,
@@ -2146,14 +2103,19 @@ mod tests {
                 ..small_cfg()
             };
             let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(96);
-            let mut sim = Simulator::new(cfg, layout).unwrap();
-            sim.precondition(&[fill]).unwrap();
+            let sim = SimBuilder::new(cfg, layout)
+                .precondition(&[fill])
+                .build_with_arena(&mut SimArena::new())
+                .unwrap();
             let trace: Vec<IoRequest> = (0..32)
                 .map(|i| IoRequest::new(i, 0, Op::Write, i % 96, 1, i * 500_000))
                 .collect();
-            sim.run(&trace).unwrap().ftl.gc_invocations
+            run(sim, &trace).unwrap().ftl.gc_invocations
         };
-        assert!(run(1.0) > run(0.0), "full device must GC sooner");
+        assert!(
+            gc_passes(1.0) > gc_passes(0.0),
+            "full device must GC sooner"
+        );
     }
 
     #[test]
@@ -2168,11 +2130,11 @@ mod tests {
         let layout = TenantLayout::from_channel_lists(&[vec![0]], &cfg)
             .unwrap()
             .with_lpn_space_all(64);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let trace: Vec<IoRequest> = (0..4)
             .map(|i| IoRequest::new(i, 0, Op::Write, i * 2, 1, 0))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         let service = 20_480 + 200 * US;
         // k-th completion at k*service; latency measured from t=0.
         assert_eq!(report.write.min_ns, service);
@@ -2191,11 +2153,11 @@ mod tests {
                 ..small_cfg()
             };
             let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(64);
-            let sim = Simulator::new(cfg, layout).unwrap();
+            let sim = new_sim(cfg, layout).unwrap();
             let trace: Vec<IoRequest> = (0..4)
                 .map(|i| IoRequest::new(i, 0, Op::Write, i, 1, 0))
                 .collect();
-            sim.run(&trace).unwrap().makespan_ns
+            run(sim, &trace).unwrap().makespan_ns
         };
         let service = 20_480 + 200 * US;
         assert_eq!(run(1), 4 * service, "QD=1 fully serializes");
@@ -2213,12 +2175,12 @@ mod tests {
             ..small_cfg()
         };
         let layout = TenantLayout::isolated(2, &cfg).with_lpn_space_all(64);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let mut trace: Vec<IoRequest> = (0..6)
             .map(|i| IoRequest::new(i, 0, Op::Write, i * 2, 1, 0))
             .collect();
         trace.push(IoRequest::new(6, 1, Op::Read, 0, 1, 0));
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         // Tenant 1's single read is admitted immediately on its own slot.
         assert_eq!(report.tenants[1].read.max_ns, 20 * US + 20_480);
     }
@@ -2229,13 +2191,13 @@ mod tests {
         // commands, so the second spawn must fail loudly rather than wrap.
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        let sim = Simulator::builder(cfg, layout)
+        let sim = SimBuilder::new(cfg, layout)
             .cmd_slot_limit(1)
-            .build()
+            .build_with_arena(&mut SimArena::new())
             .unwrap();
         let trace = vec![IoRequest::new(0, 0, Op::Read, 0, 2, 0)];
         assert_eq!(
-            sim.run(&trace).unwrap_err(),
+            run(sim, &trace).unwrap_err(),
             SimError::CmdIdsExhausted { limit: 1 }
         );
     }
@@ -2248,31 +2210,15 @@ mod tests {
         // config could overlap — 2 shows the plateau, not the trace len).
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        let sim = Simulator::builder(cfg, layout)
+        let sim = SimBuilder::new(cfg, layout)
             .cmd_slot_limit(2)
-            .build()
+            .build_with_arena(&mut SimArena::new())
             .unwrap();
         let trace: Vec<IoRequest> = (0..50)
             .map(|i| IoRequest::new(i, 0, Op::Write, i % 64, 1, i * 1_000_000))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.write.count, 50);
-    }
-
-    #[test]
-    fn builder_precondition_matches_mutating_call() {
-        let cfg = small_cfg();
-        let layout = || TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        let trace = vec![IoRequest::new(0, 0, Op::Read, 10, 1, 0)];
-        let built = Simulator::builder(cfg.clone(), layout())
-            .precondition(&[0.5])
-            .build()
-            .unwrap()
-            .run(&trace)
-            .unwrap();
-        let mut sim = Simulator::new(cfg.clone(), layout()).unwrap();
-        sim.precondition(&[0.5]).unwrap();
-        assert_eq!(built, sim.run(&trace).unwrap());
     }
 
     #[test]
@@ -2281,14 +2227,14 @@ mod tests {
         // engine already keeps — they record at the same points.
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let trace: Vec<IoRequest> = (0..100)
             .map(|i| {
                 let op = if i % 3 == 0 { Op::Write } else { Op::Read };
                 IoRequest::new(i, 0, op, (i * 3) % 256, 1, i * 5_000)
             })
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         let p = &report.phases;
         let b_read = &report.read_breakdown;
         let b_write = &report.write_breakdown;
@@ -2311,15 +2257,15 @@ mod tests {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);
         let mut rec = EventRecorder::with_capacity(1 << 12);
-        let sim = Simulator::builder(cfg, layout)
+        let sim = SimBuilder::new(cfg, layout)
             .probe(&mut rec)
-            .build()
+            .build_with_arena(&mut SimArena::new())
             .unwrap();
         let trace = vec![
             IoRequest::new(0, 0, Op::Write, 0, 1, 0),
             IoRequest::new(1, 0, Op::Read, 0, 1, 10_000_000),
         ];
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.total.count, 2);
         let evs = rec.to_vec();
         let issues = evs
@@ -2362,9 +2308,9 @@ mod tests {
             .unwrap()
             .with_lpn_space_all(256);
         let mut rec = EventRecorder::with_capacity(64);
-        let mut sim = Simulator::builder(cfg, layout)
+        let mut sim = SimBuilder::new(cfg, layout)
             .probe(&mut rec)
-            .build()
+            .build_with_arena(&mut SimArena::new())
             .unwrap();
         sim.schedule_reallocation(Reallocation::new(
             1_000_000,
@@ -2375,7 +2321,7 @@ mod tests {
             IoRequest::new(0, 0, Op::Write, 0, 1, 0),
             IoRequest::new(1, 0, Op::Write, 1, 1, 2_000_000),
         ];
-        sim.run(&trace).unwrap();
+        run(sim, &trace).unwrap();
         let reallocs: Vec<_> = rec
             .to_vec()
             .into_iter()
@@ -2406,14 +2352,14 @@ mod tests {
         };
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(16);
         let mut rec = EventRecorder::with_capacity(1 << 14);
-        let sim = Simulator::builder(cfg.clone(), layout)
+        let sim = SimBuilder::new(cfg.clone(), layout)
             .probe(&mut rec)
-            .build()
+            .build_with_arena(&mut SimArena::new())
             .unwrap();
         let trace: Vec<IoRequest> = (0..256)
             .map(|i| IoRequest::new(i, 0, Op::Write, i % 16, 1, 0))
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert!(report.ftl.gc_invocations > 0);
         let gcs: Vec<_> = rec
             .to_vec()
@@ -2438,14 +2384,14 @@ mod tests {
     fn report_totals_are_consistent() {
         let cfg = small_cfg();
         let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(128);
-        let sim = Simulator::new(cfg, layout).unwrap();
+        let sim = new_sim(cfg, layout).unwrap();
         let trace: Vec<IoRequest> = (0..100)
             .map(|i| {
                 let op = if i % 4 == 0 { Op::Write } else { Op::Read };
                 IoRequest::new(i, (i % 2) as u16, op, i % 128, 1, i * 10_000)
             })
             .collect();
-        let report = sim.run(&trace).unwrap();
+        let report = run(sim, &trace).unwrap();
         assert_eq!(report.total.count, 100);
         assert_eq!(report.read.count + report.write.count, 100);
         let per_tenant: u64 = report

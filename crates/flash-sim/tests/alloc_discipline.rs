@@ -154,9 +154,12 @@ fn steady_state_event_loop_performs_zero_heap_allocations() {
     // First pass counts completions so the window brackets [50%, 90%].
     let total = {
         let sim = SimBuilder::new(cfg.clone(), layout.clone())
-            .build()
+            .build_with_arena(&mut SimArena::new())
             .expect("valid device");
-        sim.run(&trace).expect("run").total.count
+        sim.run_reclaim(&trace, &mut SimArena::new())
+            .expect("run")
+            .total
+            .count
     };
     assert!(total >= 100, "fixture too small to have a steady state");
 
@@ -168,9 +171,10 @@ fn steady_state_event_loop_performs_zero_heap_allocations() {
     };
     let sim = SimBuilder::new(cfg, layout)
         .probe(&mut window)
-        .build()
+        .build_with_arena(&mut SimArena::new())
         .expect("valid device");
-    sim.run(&trace).expect("probed run");
+    sim.run_reclaim(&trace, &mut SimArena::new())
+        .expect("probed run");
     assert_eq!(
         window.tracked_allocs,
         Some(0),

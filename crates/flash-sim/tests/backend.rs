@@ -7,8 +7,8 @@
 use flash_sim::backend::io_uring_available;
 use flash_sim::probe::ProbeEvent;
 use flash_sim::{
-    BackendKind, EventRecorder, IoRequest, NullProbe, Op, Reallocation, SimBuilder, SimError,
-    Simulator, SsdConfig, TenantLayout,
+    BackendKind, EventRecorder, IoRequest, NullProbe, Op, Reallocation, SimArena, SimBuilder,
+    SimError, SsdConfig, TenantLayout,
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -65,12 +65,16 @@ fn sim_backend_is_bit_identical_to_direct_simulator() {
     let trace = mixed_trace();
 
     let mut direct_rec = EventRecorder::with_capacity(1 << 14);
-    let mut direct_sim =
-        Simulator::with_probe(cfg.clone(), layout.clone(), &mut direct_rec).unwrap();
+    let mut direct_sim = SimBuilder::new(cfg.clone(), layout.clone())
+        .probe(&mut direct_rec)
+        .build_with_arena(&mut SimArena::new())
+        .unwrap();
     direct_sim
         .schedule_reallocation(realloc_at(50_000))
         .unwrap();
-    let direct = direct_sim.run(&trace).unwrap();
+    let direct = direct_sim
+        .run_reclaim(&trace, &mut SimArena::new())
+        .unwrap();
 
     let mut be_rec = EventRecorder::with_capacity(1 << 14);
     let mut be = SimBuilder::new(cfg, layout)
@@ -79,7 +83,7 @@ fn sim_backend_is_bit_identical_to_direct_simulator() {
     assert_eq!(be.name(), "sim");
     assert_eq!(be.engine(), "sim");
     be.schedule_reallocation(realloc_at(50_000)).unwrap();
-    let via_backend = be.run(&trace, &mut be_rec).unwrap();
+    let via_backend = be.run(&trace, &mut be_rec, &mut SimArena::new()).unwrap();
 
     assert_eq!(direct, via_backend, "reports must be identical");
     assert_eq!(
@@ -99,7 +103,7 @@ fn sim_backend_honors_builder_preconditioning() {
         .precondition(&[0.5, 0.5])
         .build_backend(&BackendKind::Sim)
         .unwrap();
-    let report = be.run(&[], &mut NullProbe).unwrap();
+    let report = be.run(&[], &mut NullProbe, &mut SimArena::new()).unwrap();
     assert!(report.ftl.seeded_pages > 0, "preconditioning must apply");
 }
 
@@ -147,7 +151,7 @@ fn file_backend_round_trips_against_a_tmpfile() {
         .unwrap();
     assert_eq!(be.name(), "file");
     be.schedule_reallocation(realloc_at(50_000)).unwrap();
-    let report = be.run(&trace, &mut rec).unwrap();
+    let report = be.run(&trace, &mut rec, &mut SimArena::new()).unwrap();
     let _ = std::fs::remove_file(&target);
 
     assert_eq!(report.total.count as usize, trace.len());
@@ -192,7 +196,9 @@ fn file_backend_pread_engine_works() {
         })
         .unwrap();
     assert_eq!(be.engine(), "pread");
-    let report = be.run(&mixed_trace(), &mut NullProbe).unwrap();
+    let report = be
+        .run(&mixed_trace(), &mut NullProbe, &mut SimArena::new())
+        .unwrap();
     std::env::remove_var("SSDKEEPER_REPLAY_ENGINE");
     let _ = std::fs::remove_file(&target);
     assert_eq!(report.total.count as usize, mixed_trace().len());
@@ -217,7 +223,9 @@ fn file_backend_uring_engine_when_available() {
         })
         .unwrap();
     assert_eq!(be.engine(), "io_uring");
-    let report = be.run(&mixed_trace(), &mut NullProbe).unwrap();
+    let report = be
+        .run(&mixed_trace(), &mut NullProbe, &mut SimArena::new())
+        .unwrap();
     std::env::remove_var("SSDKEEPER_REPLAY_ENGINE");
     let _ = std::fs::remove_file(&target);
     assert_eq!(report.total.count as usize, mixed_trace().len());
@@ -240,6 +248,8 @@ fn file_backend_against_designated_target() {
     let be = SimBuilder::new(cfg, layout)
         .build_backend(&BackendKind::File { path })
         .unwrap();
-    let report = be.run(&mixed_trace(), &mut NullProbe).unwrap();
+    let report = be
+        .run(&mixed_trace(), &mut NullProbe, &mut SimArena::new())
+        .unwrap();
     assert_eq!(report.total.count as usize, mixed_trace().len());
 }

@@ -3,8 +3,8 @@
 //! string, and both backends reject malformed inputs the same way.
 
 use flash_sim::{
-    validate_trace, BackendKind, IoRequest, NullProbe, Op, SimBuilder, SimError, SsdConfig,
-    TenantLayout,
+    validate_trace, BackendKind, IoRequest, NullProbe, Op, SimArena, SimBuilder, SimError,
+    SsdConfig, TenantLayout,
 };
 
 fn cfg() -> SsdConfig {
@@ -64,7 +64,9 @@ fn both_backends_reject_bad_traces_before_running() {
             .build_backend(&kind)
             .unwrap();
         let trace = vec![req(0, 0, 0, 1, 100), req(1, 0, 1, 1, 50)];
-        let err = be.run(&trace, &mut NullProbe).unwrap_err();
+        let err = be
+            .run(&trace, &mut NullProbe, &mut SimArena::new())
+            .unwrap_err();
         assert_eq!(
             err.to_string(),
             "trace not sorted by arrival at index 1",
@@ -85,9 +87,9 @@ fn exhausted_cmd_slots_name_the_limit() {
     let trace = vec![req(0, 0, 0, 8, 0)];
     let err = SimBuilder::new(c, lay)
         .cmd_slot_limit(1)
-        .build()
+        .build_with_arena(&mut SimArena::new())
         .unwrap()
-        .run(&trace)
+        .run_reclaim(&trace, &mut SimArena::new())
         .unwrap_err();
     assert!(matches!(err, SimError::CmdIdsExhausted { limit: 1 }));
     assert_eq!(
@@ -102,7 +104,10 @@ fn exhausted_cmd_slots_name_the_limit() {
 fn capacity_exceeded_reports_plane_and_counts() {
     let c = cfg();
     let lay = TenantLayout::shared(2, &c).with_lpn_space_all(1 << 40);
-    let err = SimBuilder::new(c, lay).build().map(|_| ()).unwrap_err();
+    let err = SimBuilder::new(c, lay)
+        .build_with_arena(&mut SimArena::new())
+        .map(|_| ())
+        .unwrap_err();
     match &err {
         SimError::CapacityExceeded {
             required,
@@ -133,7 +138,9 @@ fn io_error_renders_op_and_reason() {
             path: "/nonexistent-dir/ssdkeeper-replay.img".into(),
         })
         .unwrap();
-    let err = be.run(&[req(0, 0, 0, 1, 0)], &mut NullProbe).unwrap_err();
+    let err = be
+        .run(&[req(0, 0, 0, 1, 0)], &mut NullProbe, &mut SimArena::new())
+        .unwrap_err();
     match &err {
         SimError::Io { op, .. } => assert_eq!(*op, "open"),
         other => panic!("expected Io error, got {other}"),

@@ -290,9 +290,10 @@ fn run_shard(
     }
     obs::span!("fleet_shard");
     let (trace, lpn_spaces) = shard_inputs(cfg, &slot_tenants, fetch);
-    let outcome = keeper.run_with_arena(
-        RunSpec::adapt_once(&trace, &lpn_spaces).with_metrics(),
-        arena,
+    let outcome = keeper.run(
+        RunSpec::adapt_once(&trace, &lpn_spaces)
+            .with_metrics()
+            .with_arena(arena),
     )?;
     obs::counter_add!("fleet.shards_done", 1u64);
     obs::counter_add!(

@@ -6,22 +6,15 @@
 //! `Σ Nᵢ·Nᵢ₊₁` multiplications per decision); [`ChannelAllocator::cost`]
 //! reports both numbers for this model.
 //!
-//! Two throughput levers sit behind the same API:
-//!
-//! * **Batching** — [`ChannelAllocator::predict_batch_into`] packs many
-//!   feature vectors into one matrix and runs each layer's kernel once
-//!   for the whole window instead of once per tenant, through reused
-//!   [`DecisionScratch`] buffers (zero steady-state allocations).
-//! * **Quantization** — [`ChannelAllocator::quantized`] converts the
-//!   backend to i16 fixed-point ([`ann::quant`]); predictions stay
-//!   arg-max equivalent on the feature domain (see the equivalence
-//!   battery in `crates/ann/tests`). The fleet path keeps the f32
-//!   backend, so fleet digests are untouched by this option.
+//! Batching is the one throughput lever:
+//! [`ChannelAllocator::predict_batch_into`] packs many feature vectors
+//! into one matrix and runs each layer's kernel once for the whole window
+//! instead of once per tenant, through reused [`DecisionScratch`] buffers
+//! (zero steady-state allocations).
 
 use crate::features::FeatureVector;
 use crate::strategy::Strategy;
 use ann::network::ForwardScratch;
-use ann::quant::{QuantNetwork, QuantScratch};
 use ann::{Matrix, Network};
 
 /// Inference-time cost figures for a deployed model.
@@ -29,19 +22,17 @@ use ann::{Matrix, Network};
 pub struct AllocatorCost {
     /// Parameter storage in bytes.
     pub param_bytes: usize,
-    /// Multiplications per decision (integer muls for the quantized
-    /// backend, floating-point for f32 — the count is the same).
+    /// Floating-point multiplications per decision.
     pub mults_per_decision: usize,
 }
 
 /// Reusable buffers for batched allocator decisions: the packed feature
-/// matrix, the forward scratch of whichever backend is active, and the
-/// class output vector. One scratch serves any number of allocators.
+/// matrix, the network's forward scratch, and the class output vector.
+/// One scratch serves any number of allocators.
 #[derive(Debug)]
 pub struct DecisionScratch {
     input: Matrix,
     fwd: ForwardScratch,
-    quant: QuantScratch,
     classes: Vec<usize>,
 }
 
@@ -50,7 +41,6 @@ impl Default for DecisionScratch {
         Self {
             input: Matrix::zeros(0, 0),
             fwd: ForwardScratch::new(),
-            quant: QuantScratch::new(),
             classes: Vec::new(),
         }
     }
@@ -64,13 +54,9 @@ impl DecisionScratch {
 }
 
 /// Maps observed workload features to a channel-allocation strategy.
-///
-/// Backed by either the trained f32 network or its quantized mirror —
-/// exactly one is active.
 #[derive(Debug, Clone)]
 pub struct ChannelAllocator {
-    network: Option<Network>,
-    quant: Option<QuantNetwork>,
+    network: Network,
     max_total_iops: f64,
 }
 
@@ -85,45 +71,9 @@ impl ChannelAllocator {
         assert_eq!(network.output_width(), 42, "expected 42 strategy classes");
         assert!(max_total_iops > 0.0);
         Self {
-            network: Some(network),
-            quant: None,
+            network,
             max_total_iops,
         }
-    }
-
-    /// Wraps a quantized network (e.g. loaded from an `ssdkeeper-qmodel-v1`
-    /// file).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the network is 9-in / 42-out.
-    pub fn from_quantized(quant: QuantNetwork, max_total_iops: f64) -> Self {
-        assert_eq!(quant.input_width(), 9, "expected 9 input features");
-        assert_eq!(quant.output_width(), 42, "expected 42 strategy classes");
-        assert!(max_total_iops > 0.0);
-        Self {
-            network: None,
-            quant: Some(quant),
-            max_total_iops,
-        }
-    }
-
-    /// This allocator with the backend converted to i16 fixed-point.
-    /// A no-op (clone) if the backend is already quantized.
-    pub fn quantized(&self) -> ChannelAllocator {
-        match &self.network {
-            Some(net) => ChannelAllocator {
-                network: None,
-                quant: Some(QuantNetwork::from_network(net)),
-                max_total_iops: self.max_total_iops,
-            },
-            None => self.clone(),
-        }
-    }
-
-    /// Whether the active backend is the quantized one.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
     }
 
     /// The IOPS that saturate the intensity scale this model was trained
@@ -136,19 +86,14 @@ impl ChannelAllocator {
     pub fn predict(&self, features: &FeatureVector) -> Strategy {
         obs::span!("decide");
         obs::counter_add!("keeper.decisions", 1u64);
-        let input = features.to_input();
-        let class = match (&self.network, &self.quant) {
-            (Some(net), _) => net.predict_one(&input),
-            (None, Some(q)) => q.predict_one(&input),
-            (None, None) => unreachable!("allocator always has a backend"),
-        };
+        let class = self.network.predict_one(&features.to_input());
         Strategy::from_index(class, 4).expect("42-way output maps onto the strategy space")
     }
 
     /// Batched prediction through reused scratch buffers: one kernel
     /// invocation per layer for the whole window. Each decision equals
     /// what [`ChannelAllocator::predict`] would return for that feature
-    /// vector alone (both backends are row-independent).
+    /// vector alone (the kernel is row-independent).
     pub fn predict_batch_into(
         &self,
         features: &[FeatureVector],
@@ -165,15 +110,8 @@ impl ChannelAllocator {
         for (i, f) in features.iter().enumerate() {
             scratch.input.row_mut(i).copy_from_slice(&f.to_input());
         }
-        match (&self.network, &self.quant) {
-            (Some(net), _) => {
-                net.predict_batch_into(&scratch.input, &mut scratch.fwd, &mut scratch.classes)
-            }
-            (None, Some(q)) => {
-                q.predict_batch_into(&scratch.input, &mut scratch.quant, &mut scratch.classes)
-            }
-            (None, None) => unreachable!("allocator always has a backend"),
-        }
+        self.network
+            .predict_batch_into(&scratch.input, &mut scratch.fwd, &mut scratch.classes);
         out.reserve(scratch.classes.len());
         for &class in &scratch.classes {
             out.push(
@@ -193,38 +131,21 @@ impl ChannelAllocator {
     /// Class probabilities over the 42 strategies (for analysis).
     pub fn predict_proba(&self, features: &FeatureVector) -> Vec<f32> {
         let x = Matrix::from_rows(&[&features.to_input()]);
-        match (&self.network, &self.quant) {
-            (Some(net), _) => net.predict_proba(&x).row(0).to_vec(),
-            (None, Some(q)) => q.predict_proba(&x).row(0).to_vec(),
-            (None, None) => unreachable!("allocator always has a backend"),
-        }
+        self.network.predict_proba(&x).row(0).to_vec()
     }
 
     /// Inference cost of this model.
     pub fn cost(&self) -> AllocatorCost {
-        match (&self.network, &self.quant) {
-            (Some(net), _) => AllocatorCost {
-                param_bytes: net.param_bytes(),
-                mults_per_decision: net.forward_mults(),
-            },
-            (None, Some(q)) => AllocatorCost {
-                param_bytes: q.param_bytes(),
-                mults_per_decision: q.layers().iter().map(|l| l.fan_in() * l.fan_out()).sum(),
-            },
-            (None, None) => unreachable!("allocator always has a backend"),
+        AllocatorCost {
+            param_bytes: self.network.param_bytes(),
+            mults_per_decision: self.network.forward_mults(),
         }
     }
 
-    /// Borrow the underlying f32 network, if the backend is f32 (e.g.
-    /// for persistence via [`ann::io`]).
-    pub fn network(&self) -> Option<&Network> {
-        self.network.as_ref()
-    }
-
-    /// Borrow the underlying quantized network, if the backend is
-    /// quantized.
-    pub fn quant_network(&self) -> Option<&QuantNetwork> {
-        self.quant.as_ref()
+    /// Borrow the underlying network (e.g. for persistence via
+    /// [`ann::io`]).
+    pub fn network(&self) -> &Network {
+        &self.network
     }
 }
 
@@ -292,24 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_backend_agrees_on_the_feature_domain() {
-        let a = allocator();
-        let q = a.quantized();
-        assert!(q.is_quantized() && !a.is_quantized());
-        assert_eq!(q.max_total_iops(), a.max_total_iops());
-        let features: Vec<FeatureVector> = (0..20).map(fv).collect();
-        for f in &features {
-            assert_eq!(q.predict(f), a.predict(f), "quantized arg-max diverged");
-        }
-        assert_eq!(q.predict_batch(&features), a.predict_batch(&features));
-        // Quantizing twice is a no-op.
-        assert_eq!(q.quantized().predict(&fv(3)), q.predict(&fv(3)));
-        // Half the parameter bytes, same multiply count.
-        assert!(q.cost().param_bytes < a.cost().param_bytes);
-        assert_eq!(q.cost().mults_per_decision, a.cost().mults_per_decision);
-    }
-
-    #[test]
     fn cost_matches_paper_topology() {
         let c = allocator().cost();
         assert_eq!(c.mults_per_decision, 9 * 64 + 64 * 42);
@@ -332,10 +235,6 @@ mod tests {
     fn exposes_calibration_and_network() {
         let a = allocator();
         assert_eq!(a.max_total_iops(), 100_000.0);
-        assert_eq!(a.network().unwrap().output_width(), 42);
-        assert!(a.quant_network().is_none());
-        let q = a.quantized();
-        assert!(q.network().is_none());
-        assert_eq!(q.quant_network().unwrap().output_width(), 42);
+        assert_eq!(a.network().output_width(), 42);
     }
 }

@@ -79,9 +79,10 @@ pub enum RunMode {
     },
 }
 
-/// One run session: the trace, the tenants' logical spaces, the mode, and
-/// an optional probe receiving the keeper's decision events plus every
-/// engine hook for the run.
+/// One run session: the trace, the tenants' logical spaces, the mode, an
+/// optional probe receiving the keeper's decision events plus every
+/// engine hook for the run, and an optional arena to build the engine
+/// from.
 pub struct RunSpec<'a> {
     /// The request trace to replay.
     pub trace: &'a [IoRequest],
@@ -101,6 +102,12 @@ pub struct RunSpec<'a> {
     /// file/device. Policy decisions, probes, and metrics are
     /// backend-agnostic.
     pub backend: BackendKind,
+    /// Buffer pool the engine is built from and reclaimed into; `None`
+    /// builds from a fresh [`SimArena`] (the cold path). Callers replaying
+    /// many sessions (the fleet shard loop) keep one arena per worker so
+    /// every session after the first builds its simulator without heap
+    /// allocation. Reports are byte-identical either way.
+    pub arena: Option<&'a mut SimArena>,
 }
 
 impl<'a> RunSpec<'a> {
@@ -113,6 +120,7 @@ impl<'a> RunSpec<'a> {
             probe: None,
             collect_metrics: false,
             backend: BackendKind::Sim,
+            arena: None,
         }
     }
 
@@ -125,6 +133,7 @@ impl<'a> RunSpec<'a> {
             probe: None,
             collect_metrics: false,
             backend: BackendKind::Sim,
+            arena: None,
         }
     }
 
@@ -137,12 +146,19 @@ impl<'a> RunSpec<'a> {
             probe: None,
             collect_metrics: false,
             backend: BackendKind::Sim,
+            arena: None,
         }
     }
 
     /// Attaches a probe to the session.
     pub fn with_probe(mut self, probe: &'a mut dyn Probe) -> Self {
         self.probe = Some(probe);
+        self
+    }
+
+    /// Builds the session's engine from `arena` and reclaims it there.
+    pub fn with_arena(mut self, arena: &'a mut SimArena) -> Self {
+        self.arena = Some(arena);
         self
     }
 
@@ -238,19 +254,6 @@ impl Keeper {
     /// probe observes every engine hook plus the keeper's own decision
     /// events (feature vector + predicted class probabilities).
     pub fn run(&self, spec: RunSpec<'_>) -> Result<RunOutcome, KeeperError> {
-        self.run_with_arena(spec, &mut SimArena::new())
-    }
-
-    /// [`Keeper::run`] drawing the engine's run-path buffers from a
-    /// caller-owned [`SimArena`]. Callers replaying many sessions (the
-    /// fleet shard loop, the label farm) keep one arena per worker so
-    /// every session after the first builds its simulator without heap
-    /// allocation. Results are byte-identical to [`Keeper::run`].
-    pub fn run_with_arena(
-        &self,
-        spec: RunSpec<'_>,
-        arena: &mut SimArena,
-    ) -> Result<RunOutcome, KeeperError> {
         obs::span!("keeper_run");
         obs::counter_add!("keeper.runs", 1u64);
         if spec.lpn_spaces.is_empty() || spec.lpn_spaces.len() > TENANTS {
@@ -265,12 +268,15 @@ impl Keeper {
             probe,
             collect_metrics,
             backend,
+            arena,
         } = spec;
         let mut null = NullProbe;
         let probe: &mut dyn Probe = match probe {
             Some(p) => p,
             None => &mut null,
         };
+        let mut fresh = SimArena::new();
+        let arena = arena.unwrap_or(&mut fresh);
         if collect_metrics {
             let mut metrics = MetricsProbe::new(self.config.observe_window_ns);
             let mut tee = Tee::new(probe, &mut metrics);
@@ -321,7 +327,7 @@ impl Keeper {
         for r in reallocations {
             be.schedule_reallocation(r)?;
         }
-        Ok(be.run_with_arena(trace, probe, arena)?)
+        Ok(be.run(trace, probe, arena)?)
     }
 
     /// The probe-facing form of a decision: network input vector plus the
@@ -791,6 +797,60 @@ mod tests {
         let mut offline = flash_sim::MetricsProbe::new(keeper.config().observe_window_ns);
         flash_sim::replay(rec.events(), &mut offline);
         assert_eq!(offline.into_summary(), m);
+    }
+
+    /// A warm arena — dirtied by a session of a different shape (two
+    /// tenants, another geometry) — must be invisible: every mode reports
+    /// and decides exactly as a cold session does.
+    #[test]
+    fn warm_arena_sessions_match_cold_sessions() {
+        let keeper = untrained_keeper();
+        let trace = four_tenant_trace(600);
+        let spaces = [1 << 10; 4];
+        let window = keeper.config().observe_window_ns;
+        let other = Keeper::new(
+            KeeperConfig {
+                ssd: SsdConfig::small_test(),
+                observe_window_ns: 1_000_000,
+                hybrid: false,
+            },
+            ChannelAllocator::new(Network::paper_topology(Activation::ReLU, 9), 50_000.0),
+        );
+        assert_ne!(other.config().ssd, keeper.config().ssd);
+        let other_trace: Vec<IoRequest> = four_tenant_trace(200)
+            .into_iter()
+            .filter(|r| r.tenant < 2)
+            .collect();
+        let mut arena = SimArena::new();
+        for mode in [
+            RunMode::Fixed(Strategy::Isolated),
+            RunMode::AdaptOnce,
+            RunMode::Periodic { window_ns: window },
+        ] {
+            let spec = || RunSpec {
+                mode,
+                ..RunSpec::adapt_once(&trace, &spaces)
+            };
+            let cold = keeper.run(spec()).unwrap();
+            other
+                .run(
+                    RunSpec::fixed(&other_trace, &[64, 64], Strategy::Shared)
+                        .with_arena(&mut arena),
+                )
+                .unwrap();
+            let warm = keeper.run(spec().with_arena(&mut arena)).unwrap();
+            assert_eq!(
+                format!("{:?}", cold.report),
+                format!("{:?}", warm.report),
+                "{mode:?}"
+            );
+            assert_eq!(
+                format!("{:?}", cold.decisions),
+                format!("{:?}", warm.decisions),
+                "{mode:?}"
+            );
+            assert_eq!(cold.strategy, warm.strategy);
+        }
     }
 
     #[test]

@@ -65,33 +65,14 @@ pub struct StrategyEval {
     pub metric_us: f64,
 }
 
-/// Runs `trace` on a device partitioned by `strategy`.
+/// Runs `trace` on a device partitioned by `strategy`, building the
+/// simulator from `arena` (a fresh [`SimArena`] is the cold path; a
+/// reused one makes every run after the first allocation-free).
 ///
 /// `rw_chars` are the tenants' observed characteristics (for two-part
 /// grouping and the hybrid allocator); `lpn_spaces` bound each tenant's
 /// logical footprint.
 pub fn run_under_strategy(
-    trace: &[IoRequest],
-    strategy: Strategy,
-    rw_chars: &[u8],
-    lpn_spaces: &[u64],
-    eval: &EvalConfig,
-) -> Result<SimReport, SimError> {
-    run_under_strategy_with(
-        trace,
-        strategy,
-        rw_chars,
-        lpn_spaces,
-        eval,
-        &mut SimArena::new(),
-    )
-}
-
-/// [`run_under_strategy`] drawing the simulator's buffers from a
-/// caller-owned [`SimArena`] — the label farm's inner loop, where one
-/// arena per worker makes every run after the first allocation-free.
-/// Reports are byte-identical to [`run_under_strategy`].
-pub fn run_under_strategy_with(
     trace: &[IoRequest],
     strategy: Strategy,
     rw_chars: &[u8],
@@ -134,66 +115,26 @@ pub fn evaluate_all(
 
     // One arena per pool worker: each worker recycles a single simulator
     // allocation pool across every strategy it claims, so only its first
-    // run pays for buffer construction.
+    // run pays for buffer construction (with one worker, one arena serves
+    // the whole sweep).
     let results = parallel::par_map_init(
         &eval.pool,
         &strategies,
         SimArena::new,
         |arena, _, &strategy| {
-            run_under_strategy_with(trace, strategy, &rw_chars, lpn_spaces, eval, arena).map(
-                |report| {
-                    let row = StrategyEval {
-                        strategy,
-                        read_us: report.read.mean_us(),
-                        write_us: report.write.mean_us(),
-                        metric_us: report.total_latency_metric_us(),
-                    };
-                    arena.recycle_report(report);
-                    row
-                },
-            )
+            run_under_strategy(trace, strategy, &rw_chars, lpn_spaces, eval, arena).map(|report| {
+                let row = StrategyEval {
+                    strategy,
+                    read_us: report.read.mean_us(),
+                    write_us: report.write.mean_us(),
+                    metric_us: report.total_latency_metric_us(),
+                };
+                arena.recycle_report(report);
+                row
+            })
         },
     );
     results.into_iter().collect()
-}
-
-/// [`evaluate_all`] with the strategy sweep pinned to one caller-owned
-/// [`SimArena`]. Only meaningful for sequential pools (one worker): a
-/// parallel pool cannot share one arena, so this delegates to
-/// [`evaluate_all`]'s per-worker arenas when `eval.pool` has more. The
-/// label farm uses this from its outer fan-out — sample-level workers each
-/// own an arena and sweep strategies sequentially through it.
-pub fn evaluate_all_with(
-    trace: &[IoRequest],
-    tenants: usize,
-    lpn_spaces: &[u64],
-    eval: &EvalConfig,
-    arena: &mut SimArena,
-) -> Result<Vec<StrategyEval>, SimError> {
-    if eval.pool.worker_count() > 1 {
-        return evaluate_all(trace, tenants, lpn_spaces, eval);
-    }
-    let obs = ObservedFeatures::collect(trace, tenants, u64::MAX);
-    let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
-    let strategies = Strategy::all_for_tenants(tenants);
-
-    strategies
-        .iter()
-        .map(|&strategy| {
-            run_under_strategy_with(trace, strategy, &rw_chars, lpn_spaces, eval, arena).map(
-                |report| {
-                    let row = StrategyEval {
-                        strategy,
-                        read_us: report.read.mean_us(),
-                        write_us: report.write.mean_us(),
-                        metric_us: report.total_latency_metric_us(),
-                    };
-                    arena.recycle_report(report);
-                    row
-                },
-            )
-        })
-        .collect()
 }
 
 /// The argmin-latency strategy (ties go to the earlier index, i.e. the
@@ -274,6 +215,7 @@ mod tests {
             &[0, 1],
             &[1 << 12, 1 << 12],
             &eval,
+            &mut SimArena::new(),
         )
         .unwrap();
         assert_eq!(report.total.count as usize, trace.len());
@@ -329,6 +271,7 @@ mod tests {
             &[0, 1],
             &[1 << 12, 1 << 12],
             &eval,
+            &mut SimArena::new(),
         )
         .unwrap();
         eval.hybrid = true;
@@ -338,6 +281,7 @@ mod tests {
             &[0, 1],
             &[1 << 12, 1 << 12],
             &eval,
+            &mut SimArena::new(),
         )
         .unwrap();
         assert_eq!(base.total.count, hybrid.total.count);
@@ -347,6 +291,13 @@ mod tests {
     #[should_panic(expected = "one char and space per tenant")]
     fn mismatched_tenant_vectors_panic() {
         let trace = two_tenant_trace(1_000.0, 1_000.0, 10);
-        let _ = run_under_strategy(&trace, Strategy::Shared, &[0, 1], &[64], &small_eval());
+        let _ = run_under_strategy(
+            &trace,
+            Strategy::Shared,
+            &[0, 1],
+            &[64],
+            &small_eval(),
+            &mut SimArena::new(),
+        );
     }
 }

@@ -10,13 +10,11 @@
 
 use crate::allocator::{ChannelAllocator, DecisionScratch};
 use crate::features::{FeatureVector, FEATURE_DIM, TENANTS};
-use crate::label::{
-    best_strategy_with_tolerance, evaluate_all_with, EvalConfig, DOMAIN_LABEL_SAMPLE,
-};
+use crate::label::{best_strategy_with_tolerance, evaluate_all, EvalConfig, DOMAIN_LABEL_SAMPLE};
 use crate::strategy::Strategy;
 use ann::prelude::*;
 use ann::train::TrainHistory;
-use flash_sim::{IoRequest, SimArena};
+use flash_sim::IoRequest;
 use parallel::PoolConfig;
 use simrng::Rng;
 use workloads::{generate_tenant_stream, mix_chronological, TenantSpec};
@@ -129,7 +127,10 @@ impl LabelledDataset {
     }
 
     /// Parses the text form produced by [`LabelledDataset::to_text`]
-    /// (v2) or the older metric-less v1 layout.
+    /// (v2) or the older metric-less v1 layout. Returns `None` on any
+    /// malformed input, including a sample count the lines do not back,
+    /// non-finite features or metrics, and a `max_total_iops` that is not
+    /// finite and positive.
     pub fn from_text(text: &str) -> Option<LabelledDataset> {
         let mut lines = text.lines();
         let header = lines.next()?;
@@ -140,7 +141,11 @@ impl LabelledDataset {
         }
         let count: usize = parts.next()?.parse().ok()?;
         let max_total_iops: f64 = parts.next()?.parse().ok()?;
-        let mut samples = Vec::with_capacity(count);
+        if !(max_total_iops.is_finite() && max_total_iops > 0.0) {
+            return None;
+        }
+        // Grown from the lines present: the header's count is untrusted.
+        let mut samples = Vec::new();
         for line in lines.take(count) {
             let mut fields = line.split(';');
             let xs = fields.next()?;
@@ -156,7 +161,10 @@ impl LabelledDataset {
                 .split(',')
                 .map(|v| v.parse().ok())
                 .collect::<Option<_>>()?;
-            if vals.len() != FEATURE_DIM {
+            if vals.len() != FEATURE_DIM
+                || !vals.iter().all(|v| v.is_finite())
+                || !metrics_us.iter().all(|m| m.is_finite())
+            {
                 return None;
             }
             let label: usize = label_str.trim().parse().ok()?;
@@ -423,16 +431,8 @@ impl Learner {
     /// Labels one mixed workload: evaluates every strategy and returns the
     /// sample (Algorithm 1, one loop iteration).
     pub fn label_workload(&self, trace: &[IoRequest]) -> LabelledSample {
-        self.label_workload_with(trace, &mut SimArena::new())
-    }
-
-    /// [`Learner::label_workload`] drawing every strategy run's simulator
-    /// buffers from a caller-owned [`SimArena`] (sequential sweeps only;
-    /// a parallel [`EvalConfig::pool`] uses per-worker arenas instead).
-    /// Labels are byte-identical to [`Learner::label_workload`].
-    pub fn label_workload_with(&self, trace: &[IoRequest], arena: &mut SimArena) -> LabelledSample {
         let lpn_spaces = vec![self.spec.lpn_space; TENANTS];
-        let evals = evaluate_all_with(trace, TENANTS, &lpn_spaces, &self.spec.eval, arena)
+        let evals = evaluate_all(trace, TENANTS, &lpn_spaces, &self.spec.eval)
             .expect("synthetic workloads stay within device capacity");
         let best = best_strategy_with_tolerance(&evals, self.spec.label_tolerance);
         let features = FeatureVector::from_trace(trace, TENANTS, self.spec.max_total_iops);
@@ -483,16 +483,13 @@ impl Learner {
             ..self.spec.clone()
         });
         let indices: Vec<u64> = (0..self.spec.samples as u64).collect();
-        // One SimArena per farm worker: the inner 42-strategy sweep is
-        // sequential, so every simulator run a worker performs after its
-        // first recycles the same allocation pool. Worker-count
-        // invariance holds because an arena only recycles buffers — it
-        // never changes simulated outcomes.
-        let samples = parallel::par_map_init(pool, &indices, SimArena::new, |arena, _, &i| {
+        // The inner 42-strategy sweep is sequential and recycles one
+        // SimArena across its runs, so each sample pays one cold build.
+        let samples = parallel::par_map_with(pool, &indices, |_, &i| {
             let mut rng =
                 simrng::SimRng::seed_from_u64(simrng::derive_seed(seed, DOMAIN_LABEL_SAMPLE, i));
             let (trace, _) = inner.sample_mixed_workload(&mut rng);
-            inner.label_workload_with(&trace, arena)
+            inner.label_workload(&trace)
         });
         LabelledDataset {
             samples,
@@ -687,6 +684,32 @@ mod tests {
             assert_eq!(a.features.intensity_level, b.features.intensity_level);
         }
         assert!(LabelledDataset::from_text("garbage").is_none());
+    }
+
+    #[test]
+    fn from_text_rejects_a_count_the_lines_do_not_back() {
+        // A corrupt count must not size an allocation.
+        let text = format!("ssdk-dataset-v2 {} 1.0\n", usize::MAX);
+        assert!(LabelledDataset::from_text(&text).is_none());
+    }
+
+    #[test]
+    fn from_text_rejects_non_finite_values() {
+        let row = "0.5,0,1,0,1,0.25,0.25,0.25,0.25";
+        let ok = format!("ssdk-dataset-v2 1 120000\n{row};0;1.0,2.0\n");
+        assert!(LabelledDataset::from_text(&ok).is_some());
+        for bad in [
+            format!("ssdk-dataset-v2 1 NaN\n{row};0;\n"),
+            format!("ssdk-dataset-v2 1 inf\n{row};0;\n"),
+            format!("ssdk-dataset-v2 1 0\n{row};0;\n"),
+            format!("ssdk-dataset-v2 1 120000\nNaN,0,1,0,1,0.25,0.25,0.25,0.25;0;\n"),
+            format!("ssdk-dataset-v2 1 120000\n{row};0;1.0,inf\n"),
+        ] {
+            assert!(
+                LabelledDataset::from_text(&bad).is_none(),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   the unified [`keeper::RunSpec`] session API;
 //! * [`placement`] — the fleet tier above the keeper: deterministic
 //!   bin-packing of tenants onto devices by predicted intensity, with a
-//!   tail-latency-drift re-placement hook (used by `crates/fleet`);
-//! * [`obs`] — the observability surface: probes, event recording, and
-//!   the persisted event codec (re-exported from [`flash_sim::probe`]).
+//!   tail-latency-drift re-placement hook (used by `crates/fleet`).
+//!
+//! Probes, event recording, the persisted event codec and the streaming
+//! metrics live in [`flash_sim::probe`] and [`flash_sim::metrics`]; attach
+//! one to a session with [`keeper::RunSpec::with_probe`].
 //!
 //! # End-to-end sketch
 //!
@@ -52,7 +54,6 @@ pub mod keeper;
 pub mod label;
 pub mod learner;
 pub mod model_io;
-pub mod obs;
 pub mod placement;
 pub mod strategy;
 

@@ -10,22 +10,14 @@
 //! max_total_iops <float>
 //! <ann-v1 network text>
 //! ```
-//!
-//! Quantized deployments use the sibling `ssdkeeper-qmodel-v1` layout
-//! with an `annq-v1` body ([`ann::io`]); integers serialize exactly, so
-//! a quantized model round-trips bit-for-bit and a loaded allocator
-//! decides identically to the one that was saved.
 
 use crate::allocator::ChannelAllocator;
 use crate::learner::TrainedModel;
-use ann::io::{
-    format_network, format_quant_network, parse_network, parse_quant_network, ModelIoError,
-};
+use ann::io::{format_network, parse_network, ModelIoError};
 use ann::train::TrainHistory;
 use std::path::Path;
 
 const HEADER: &str = "ssdkeeper-model-v1";
-const QHEADER: &str = "ssdkeeper-qmodel-v1";
 
 /// Serializes a trained model (network + calibration) to text.
 pub fn format_model(model: &TrainedModel) -> String {
@@ -54,8 +46,8 @@ pub fn parse_model(text: &str) -> Result<TrainedModel, ModelIoError> {
         .strip_prefix("max_total_iops ")
         .and_then(|v| v.trim().parse().ok())
         .ok_or_else(|| parse_err(2, "expected `max_total_iops <float>`"))?;
-    if max_total_iops <= 0.0 || max_total_iops.is_nan() {
-        return Err(parse_err(2, "max_total_iops must be positive"));
+    if !(max_total_iops.is_finite() && max_total_iops > 0.0) {
+        return Err(parse_err(2, "max_total_iops must be finite and positive"));
     }
     let rest = lines
         .next()
@@ -83,59 +75,6 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<TrainedModel, ModelIoError> 
 /// Loads a model file straight into a deployable allocator.
 pub fn load_allocator(path: impl AsRef<Path>) -> Result<ChannelAllocator, ModelIoError> {
     Ok(load_model(path)?.allocator())
-}
-
-/// Serializes an allocator as a quantized model (network + calibration).
-/// An f32-backed allocator is quantized on the way out.
-pub fn format_quant_model(allocator: &ChannelAllocator) -> String {
-    let q = allocator.quantized();
-    format!(
-        "{QHEADER}\nmax_total_iops {}\n{}",
-        q.max_total_iops(),
-        format_quant_network(q.quant_network().expect("quantized backend"))
-    )
-}
-
-/// Parses the quantized text form back into a deployable allocator.
-pub fn parse_quant_model(text: &str) -> Result<ChannelAllocator, ModelIoError> {
-    let parse_err = |line: usize, message: &str| ModelIoError::Parse {
-        line,
-        message: message.to_string(),
-    };
-    let mut lines = text.splitn(3, '\n');
-    let header = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
-    if header.trim() != QHEADER {
-        return Err(parse_err(1, "missing ssdkeeper-qmodel-v1 header"));
-    }
-    let calib = lines
-        .next()
-        .ok_or_else(|| parse_err(2, "missing calibration line"))?;
-    let max_total_iops: f64 = calib
-        .strip_prefix("max_total_iops ")
-        .and_then(|v| v.trim().parse().ok())
-        .ok_or_else(|| parse_err(2, "expected `max_total_iops <float>`"))?;
-    if max_total_iops <= 0.0 || max_total_iops.is_nan() {
-        return Err(parse_err(2, "max_total_iops must be positive"));
-    }
-    let rest = lines
-        .next()
-        .ok_or_else(|| parse_err(3, "missing network body"))?;
-    let quant = parse_quant_network(rest)?;
-    Ok(ChannelAllocator::from_quantized(quant, max_total_iops))
-}
-
-/// Writes a quantized model file.
-pub fn save_quant_model(
-    allocator: &ChannelAllocator,
-    path: impl AsRef<Path>,
-) -> Result<(), ModelIoError> {
-    std::fs::write(path, format_quant_model(allocator)).map_err(ModelIoError::Io)
-}
-
-/// Reads a quantized model file into a deployable allocator.
-pub fn load_quant_allocator(path: impl AsRef<Path>) -> Result<ChannelAllocator, ModelIoError> {
-    let text = std::fs::read_to_string(path).map_err(ModelIoError::Io)?;
-    parse_quant_model(&text)
 }
 
 #[cfg(test)]
@@ -195,60 +134,16 @@ mod tests {
         assert!(parse_model("").is_err());
     }
 
-    /// Satellite gate: serialize → load → identical arg-max on a fixed
-    /// corpus, through the quantized format.
-    #[test]
-    fn quant_model_round_trip_preserves_every_decision() {
-        let model = sample_model();
-        let allocator = model.allocator();
-        let text = format_quant_model(&allocator);
-        assert!(text.starts_with("ssdkeeper-qmodel-v1\nmax_total_iops 120000\nannq-v1\n"));
-        let loaded = parse_quant_model(&text).unwrap();
-        assert!(loaded.is_quantized());
-        assert_eq!(loaded.max_total_iops(), 120_000.0);
-        // Fixed corpus: every (level, rw, shares) combination here must
-        // decide identically before and after the round trip — and the
-        // loaded model must agree with the in-memory quantized backend.
-        let quant = allocator.quantized();
-        for level in 0..20u32 {
-            for rw in 0..4u8 {
-                let f = FeatureVector {
-                    intensity_level: level,
-                    rw_char: [rw & 1, (rw >> 1) & 1, 1, 0],
-                    shares: [0.4, 0.3, 0.2, 0.1],
-                };
-                assert_eq!(loaded.predict(&f), quant.predict(&f));
-            }
-        }
-    }
-
-    #[test]
-    fn quant_model_file_round_trip() {
-        let allocator = sample_model().allocator();
-        let dir = std::env::temp_dir().join("ssdk_qmodel_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("qmodel.txt");
-        save_quant_model(&allocator, &path).unwrap();
-        let loaded = load_quant_allocator(&path).unwrap();
-        assert_eq!(loaded.predict(&sample_features()), {
-            allocator.quantized().predict(&sample_features())
-        });
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn quant_model_rejects_f32_header() {
-        let text = format_model(&sample_model());
-        assert!(parse_quant_model(&text).is_err());
-    }
-
     #[test]
     fn rejects_bad_calibration() {
         let model = sample_model();
         let text = format_model(&model).replace("max_total_iops 120000", "max_total_iops nope");
         assert!(parse_model(&text).is_err());
-        let text = format_model(&model).replace("max_total_iops 120000", "max_total_iops -5");
-        assert!(parse_model(&text).is_err());
+        for bad in ["-5", "NaN", "inf"] {
+            let text = format_model(&model)
+                .replace("max_total_iops 120000", &format!("max_total_iops {bad}"));
+            assert!(parse_model(&text).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

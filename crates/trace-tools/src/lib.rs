@@ -29,7 +29,7 @@ pub mod live;
 
 use flash_sim::metrics::{MetricsProbe, MetricsSummary};
 use flash_sim::probe::{decode_events, replay, ProbeCodecError, ProbeEvent};
-use flash_sim::{EventRecorder, SimBuilder, SsdConfig, TenantLayout};
+use flash_sim::{EventRecorder, SimArena, SimBuilder, SsdConfig, TenantLayout};
 use json::{flatten_numbers, Json};
 use std::fmt::Write as _;
 use workloads::{generate_tenant_stream, mix_chronological, TenantSpec};
@@ -283,12 +283,14 @@ pub fn sample_capture() -> Vec<u8> {
     let trace = mix_chronological(&streams, 700);
     let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(384);
     let mut rec = EventRecorder::with_capacity(1 << 16);
+    let mut arena = SimArena::new();
     let sim = SimBuilder::new(cfg, layout)
         .precondition(&[0.6, 0.6])
         .probe(&mut rec)
-        .build()
+        .build_with_arena(&mut arena)
         .expect("sample config is valid");
-    sim.run(&trace).expect("sample trace runs");
+    sim.run_reclaim(&trace, &mut arena)
+        .expect("sample trace runs");
     rec.encode()
 }
 

@@ -344,7 +344,7 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
 
     #[test]
     fn replayed_trace_drives_the_simulator() {
-        use flash_sim::{Simulator, SsdConfig, TenantLayout};
+        use flash_sim::{SimArena, SimBuilder, SsdConfig, TenantLayout};
         let recs = parse_msr_csv(SAMPLE).unwrap();
         let mut cfg = ReplayConfig::new(0);
         cfg.lpn_space = 1 << 10;
@@ -355,7 +355,11 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
             ..SsdConfig::paper_table1()
         };
         let layout = TenantLayout::shared(1, &ssd).with_lpn_space_all(1 << 10);
-        let report = Simulator::new(ssd, layout).unwrap().run(&trace).unwrap();
+        let mut arena = SimArena::new();
+        let sim = SimBuilder::new(ssd, layout)
+            .build_with_arena(&mut arena)
+            .unwrap();
+        let report = sim.run_reclaim(&trace, &mut arena).unwrap();
         assert_eq!(report.total.count, 3);
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use ssdkeeper_repro::flash_sim::scheduler::SchedPolicy;
-use ssdkeeper_repro::flash_sim::{PageAllocPolicy, Simulator, SsdConfig, TenantLayout};
+use ssdkeeper_repro::flash_sim::{PageAllocPolicy, SimArena, SimBuilder, SsdConfig, TenantLayout};
 use ssdkeeper_repro::workloads::{generate_tenant_stream, mix_chronological, TenantSpec};
 
 fn mixed_trace(requests: usize) -> Vec<ssdkeeper_repro::flash_sim::IoRequest> {
@@ -33,7 +33,11 @@ fn run(
     if dynamic_writes {
         layout = layout.with_policy(0, PageAllocPolicy::Dynamic);
     }
-    let report = Simulator::new(cfg, layout).unwrap().run(trace).unwrap();
+    let mut arena = SimArena::new();
+    let sim = SimBuilder::new(cfg, layout)
+        .build_with_arena(&mut arena)
+        .unwrap();
+    let report = sim.run_reclaim(trace, &mut arena).unwrap();
     (report.read.mean_us(), report.write.mean_us())
 }
 

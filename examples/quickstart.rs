@@ -8,7 +8,7 @@
 //! against the paper's 8-channel SSD under three channel allocations, and
 //! prints the latency breakdown.
 
-use ssdkeeper_repro::flash_sim::SsdConfig;
+use ssdkeeper_repro::flash_sim::{SimArena, SsdConfig};
 use ssdkeeper_repro::ssdkeeper::label::{run_under_strategy, EvalConfig};
 use ssdkeeper_repro::ssdkeeper::Strategy;
 use ssdkeeper_repro::workloads::{generate_tenant_stream, mix_chronological, TenantSpec};
@@ -40,13 +40,15 @@ fn main() {
         "\n{:<10} {:>12} {:>12} {:>12}",
         "strategy", "read (us)", "write (us)", "total (us)"
     );
+    let mut arena = SimArena::new();
     for strategy in [
         Strategy::Shared,
         Strategy::Isolated,
         Strategy::TwoPart { write_channels: 2 },
     ] {
-        let report = run_under_strategy(&trace, strategy, &rw_chars, &lpn_spaces, &eval)
-            .expect("workload fits the device");
+        let report =
+            run_under_strategy(&trace, strategy, &rw_chars, &lpn_spaces, &eval, &mut arena)
+                .expect("workload fits the device");
         println!(
             "{:<10} {:>12.1} {:>12.1} {:>12.1}",
             strategy.to_string(),

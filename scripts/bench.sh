@@ -3,8 +3,8 @@
 # sim_micro workload), the fleet_scale bench (the fleet_1k scenario:
 # 1000 tenants / 64 device shards, events/sec plus core-scaling
 # efficiency), and the decision_throughput bench (decisions/sec for
-# rowwise vs batched vs quantized allocator calls, plus label-farm
-# labels/sec), recording all of them in BENCH_sim.json at the repo
+# rowwise vs batched allocator calls, plus label-farm labels/sec),
+# recording all of them in BENCH_sim.json at the repo
 # root. The JSON keeps the first-ever run as the baseline, so every
 # later run reports its speedup against the committed starting point.
 #
@@ -54,9 +54,8 @@ SSDKEEPER_BENCH_JSON="$json_path" \
 SSDKEEPER_BENCH_JSON="$json_path" SSDKEEPER_BENCH_PREV="$prev" \
     cargo bench --offline -q -p bench --bench fleet_scale
 
-# Decision layer: splices decision_throughput (rowwise vs batched vs
-# quantized decisions/sec) and label_farm (labels/sec at 1 vs N workers)
-# entries. Under SSDKEEPER_BENCH_STRICT=1 the bench itself enforces the
+# Decision layer: splices decision_throughput (rowwise vs batched
+# decisions/sec) and label_farm (labels/sec at 1 vs N workers) entries. Under SSDKEEPER_BENCH_STRICT=1 the bench itself enforces the
 # batching bar (batched >= 3x rowwise, batch >= 64) in-process, and
 # the ssdtrace diff below holds the recorded *_per_sec rows to the
 # regression threshold like every other rate.

@@ -80,30 +80,17 @@ if [ "$fleet_w1" != "$fleet_w4" ] || [ -z "$fleet_w1" ]; then
 fi
 echo "    $fleet_w1 (identical at both worker counts)"
 
-# The deprecated keeper run_* shims are gone (call sites use
-# Keeper::run(RunSpec)); only the simulator's limit_cmd_slots shim
-# remains deprecated. No allowlist needed — nothing in-tree may call it.
-echo "==> deprecated-API call-site gate"
-deprecated_hits=$(grep -rnE '\.limit_cmd_slots\(' \
-    crates tests examples --include='*.rs' 2>/dev/null || true)
-if [ -n "$deprecated_hits" ]; then
-    echo "verify: FAIL - new call sites of deprecated APIs found:" >&2
-    echo "$deprecated_hits" >&2
-    echo "use SimBuilder::cmd_slot_limit instead." >&2
-    exit 1
-fi
-
 # Decision-layer agreement gate: the decide binary pushes one corpus
-# through the rowwise, batched, and quantized allocator paths and exits
-# non-zero if any row's decision diverges; the digest line is the
-# determinism handle (a pure function of --seed/--batch).
+# through the rowwise and batched allocator paths and exits non-zero if
+# any row's decision diverges; the digest line is the determinism handle
+# (a pure function of --seed/--batch).
 echo "==> decision-layer agreement check (decide --smoke)"
 decide_out=$(./target/release/decide --smoke | grep '^decide digest:')
 if [ -z "$decide_out" ]; then
     echo "verify: FAIL - decide --smoke produced no digest" >&2
     exit 1
 fi
-echo "    $decide_out (rowwise, batched, and quantized paths agree)"
+echo "    $decide_out (rowwise and batched paths agree)"
 
 # Backend gate: replay --smoke runs the same mix through the simulated
 # backend and the real-I/O file backend (tmpfile target) under one

@@ -3,12 +3,23 @@
 
 use ssdkeeper_repro::flash_sim::trace::{decode_trace, encode_trace};
 use ssdkeeper_repro::flash_sim::{
-    IoRequest, Op, PageAllocPolicy, Reallocation, SimReport, Simulator, SsdConfig, TenantLayout,
+    IoRequest, Op, PageAllocPolicy, Reallocation, SimArena, SimBuilder, SimReport, SsdConfig,
+    TenantLayout,
 };
 use ssdkeeper_repro::parallel::PoolConfig;
 use ssdkeeper_repro::ssdkeeper::label::EvalConfig;
 use ssdkeeper_repro::ssdkeeper::learner::{DatasetSpec, Learner, OptimizerChoice};
 use ssdkeeper_repro::workloads::{generate_tenant_stream, mix_chronological, TenantSpec};
+
+/// One cold simulation: build from a fresh arena and run `trace`.
+fn simulate(cfg: &SsdConfig, layout: TenantLayout, trace: &[IoRequest]) -> SimReport {
+    let mut arena = SimArena::new();
+    SimBuilder::new(cfg.clone(), layout)
+        .build_with_arena(&mut arena)
+        .unwrap()
+        .run_reclaim(trace, &mut arena)
+        .unwrap()
+}
 
 fn spec() -> DatasetSpec {
     DatasetSpec {
@@ -57,10 +68,7 @@ fn simulation_reports_are_identical_across_runs() {
     let trace = mix_chronological(&streams, 6_000);
     let run = || {
         let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(1 << 10);
-        Simulator::new(cfg.clone(), layout)
-            .unwrap()
-            .run(&trace)
-            .unwrap()
+        simulate(&cfg, layout, &trace)
     };
     assert_eq!(run(), run());
 }
@@ -125,8 +133,11 @@ fn gc_wear_realloc_report() -> SimReport {
         .with_lpn_space(0, 6144)
         .with_lpn_space(1, 3072)
         .with_policy(0, PageAllocPolicy::Dynamic);
-    let mut sim = Simulator::new(cfg, layout).unwrap();
-    sim.precondition(&[1.0, 1.0]).unwrap();
+    let mut arena = SimArena::new();
+    let mut sim = SimBuilder::new(cfg, layout)
+        .precondition(&[1.0, 1.0])
+        .build_with_arena(&mut arena)
+        .unwrap();
     sim.schedule_reallocation(Reallocation::new(
         30_000_000,
         vec![
@@ -135,7 +146,7 @@ fn gc_wear_realloc_report() -> SimReport {
         ],
     ))
     .unwrap();
-    sim.run(&trace).unwrap()
+    sim.run_reclaim(&trace, &mut arena).unwrap()
 }
 
 /// Fixture B: one tenant hammering a hot region on a tiny read-priority
@@ -148,15 +159,18 @@ fn read_priority_hot_report() -> SimReport {
         ..SsdConfig::small_test()
     };
     let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(96);
-    let mut sim = Simulator::new(cfg, layout).unwrap();
-    sim.precondition(&[0.75]).unwrap();
+    let mut arena = SimArena::new();
+    let sim = SimBuilder::new(cfg, layout)
+        .precondition(&[0.75])
+        .build_with_arena(&mut arena)
+        .unwrap();
     let trace: Vec<IoRequest> = (0..2_000u64)
         .map(|i| {
             let op = if i % 5 == 4 { Op::Read } else { Op::Write };
             IoRequest::new(i, 0, op, (i * 13) % 96, 1, i * 3_000)
         })
         .collect();
-    sim.run(&trace).unwrap()
+    sim.run_reclaim(&trace, &mut arena).unwrap()
 }
 
 /// Byte-identity pin against the pre-arena, pre-indexed-GC engine: the
@@ -249,10 +263,7 @@ fn persisted_traces_replay_identically() {
 
     let run = |tr: &[ssdkeeper_repro::flash_sim::IoRequest]| {
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(1 << 10);
-        Simulator::new(cfg.clone(), layout)
-            .unwrap()
-            .run(tr)
-            .unwrap()
+        simulate(&cfg, layout, tr)
     };
     assert_eq!(run(&trace), run(&decoded));
 }

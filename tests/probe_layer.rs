@@ -5,15 +5,14 @@
 //!    bounded `EventRecorder` attached.
 //! 2. The recorder's ring buffer drops oldest-first with a monotone drop
 //!    counter, and the persisted SSDP codec round-trips what remains.
-//! 3. The deprecated keeper entry points and the unified
-//!    `Keeper::run(RunSpec)` produce identical outcomes on a seeded
-//!    fig2-style workload (this file is allowlisted for the deprecated
-//!    calls in `scripts/verify.sh`).
+//! 3. Every `Keeper::run(RunSpec)` mode holds its contract on a seeded
+//!    fig2-style workload, and an attached probe sees the decisions
+//!    without changing the report.
 
 use ssdkeeper_repro::flash_sim::probe::decode_events;
 use ssdkeeper_repro::flash_sim::{
-    EventRecorder, IoRequest, Op, PageAllocPolicy, Probe, ProbeEvent, Reallocation, SimBuilder,
-    SimReport, Simulator, SsdConfig, TenantLayout,
+    EventRecorder, IoRequest, PageAllocPolicy, Probe, ProbeEvent, Reallocation, SimArena,
+    SimBuilder, SimReport, SsdConfig, TenantLayout,
 };
 use ssdkeeper_repro::ssdkeeper::keeper::{Keeper, KeeperConfig, RunSpec};
 use ssdkeeper_repro::ssdkeeper::{ChannelAllocator, Strategy};
@@ -67,16 +66,17 @@ fn gc_wear_realloc_report(probe: Option<&mut EventRecorder>) -> SimReport {
         ],
     );
     let builder = SimBuilder::new(cfg, layout).precondition(&[1.0, 1.0]);
+    let mut arena = SimArena::new();
     match probe {
         Some(rec) => {
-            let mut sim = builder.probe(rec).build().unwrap();
+            let mut sim = builder.probe(rec).build_with_arena(&mut arena).unwrap();
             sim.schedule_reallocation(realloc).unwrap();
-            sim.run(&trace).unwrap()
+            sim.run_reclaim(&trace, &mut arena).unwrap()
         }
         None => {
-            let mut sim = builder.build().unwrap();
+            let mut sim = builder.build_with_arena(&mut arena).unwrap();
             sim.schedule_reallocation(realloc).unwrap();
-            sim.run(&trace).unwrap()
+            sim.run_reclaim(&trace, &mut arena).unwrap()
         }
     }
 }
@@ -263,36 +263,6 @@ fn keeper_session_with_probe_reports_identically_and_sees_decisions() {
         .collect();
     assert_eq!(decisions.len(), 1, "adapt-once makes exactly one decision");
     assert_eq!(decisions[0].at_ns, keeper.config().observe_window_ns);
-}
-
-#[test]
-fn legacy_simulator_construction_matches_the_builder() {
-    // `Simulator::new` + mutating precondition (the pre-builder idiom,
-    // still used by the determinism fixtures) and the fluent builder
-    // must construct bit-identical engines.
-    let cfg = SsdConfig {
-        gc_free_block_threshold: 0.25,
-        plane_parallelism: false,
-        host_queue_depth: 2,
-        ..SsdConfig::small_test()
-    };
-    let trace: Vec<IoRequest> = (0..1_500u64)
-        .map(|i| {
-            let op = if i % 5 == 4 { Op::Read } else { Op::Write };
-            IoRequest::new(i, 0, op, (i * 13) % 96, 1, i * 3_000)
-        })
-        .collect();
-    let layout = || TenantLayout::shared(1, &cfg).with_lpn_space_all(96);
-    let mut legacy = Simulator::new(cfg.clone(), layout()).unwrap();
-    legacy.precondition(&[0.75]).unwrap();
-    let legacy_report = legacy.run(&trace).unwrap();
-    let builder_report = SimBuilder::new(cfg.clone(), layout())
-        .precondition(&[0.75])
-        .build()
-        .unwrap()
-        .run(&trace)
-        .unwrap();
-    assert_eq!(legacy_report, builder_report);
 }
 
 #[test]

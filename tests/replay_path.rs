@@ -2,10 +2,22 @@
 //! page requests → profile → simulator → keeper. Uses an in-memory CSV
 //! standing in for a downloaded MSR-Cambridge file.
 
-use ssdkeeper_repro::flash_sim::{Simulator, SsdConfig, TenantLayout};
+use ssdkeeper_repro::flash_sim::{
+    IoRequest, SimArena, SimBuilder, SimReport, SsdConfig, TenantLayout,
+};
 use ssdkeeper_repro::workloads::{
     mix_chronological, parse_msr_csv, profile, to_page_requests, ReplayConfig,
 };
+
+/// One cold simulation: build from a fresh arena and run `trace`.
+fn simulate(cfg: SsdConfig, layout: TenantLayout, trace: &[IoRequest]) -> SimReport {
+    let mut arena = SimArena::new();
+    SimBuilder::new(cfg, layout)
+        .build_with_arena(&mut arena)
+        .unwrap()
+        .run_reclaim(trace, &mut arena)
+        .unwrap()
+}
 
 /// Builds a small MSR-style CSV: a read-heavy stream with sequential runs
 /// and an interleaved writer.
@@ -76,7 +88,7 @@ fn csv_replay_profiles_and_simulates() {
         ..SsdConfig::paper_table1()
     };
     let layout = TenantLayout::shared(2, &ssd).with_lpn_space_all(1 << 10);
-    let report = Simulator::new(ssd, layout).unwrap().run(&mixed).unwrap();
+    let report = simulate(ssd, layout, &mixed);
     assert_eq!(report.total.count, 500);
     assert_eq!(report.read.count, 400);
     assert_eq!(report.write.count, 100);
@@ -99,7 +111,7 @@ fn time_compression_pushes_replay_into_contention() {
             ..SsdConfig::paper_table1()
         };
         let layout = TenantLayout::shared(1, &ssd).with_lpn_space_all(1 << 10);
-        Simulator::new(ssd, layout).unwrap().run(&trace).unwrap()
+        simulate(ssd, layout, &trace)
     };
     let real_time = run(1.0);
     let compressed = run(50.0);

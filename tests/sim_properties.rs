@@ -7,10 +7,20 @@
 
 use simrng::{Rng, SimRng};
 use ssdkeeper_repro::flash_sim::{
-    IoRequest, Op, PageAllocPolicy, Simulator, SsdConfig, TenantLayout,
+    IoRequest, Op, PageAllocPolicy, SimArena, SimBuilder, SimReport, SsdConfig, TenantLayout,
 };
 
 const CASES: u64 = 48;
+
+/// One cold simulation: build from a fresh arena and run `trace`.
+fn simulate(cfg: SsdConfig, layout: TenantLayout, trace: &[IoRequest]) -> SimReport {
+    let mut arena = SimArena::new();
+    SimBuilder::new(cfg, layout)
+        .build_with_arena(&mut arena)
+        .unwrap()
+        .run_reclaim(trace, &mut arena)
+        .unwrap()
+}
 
 fn test_cfg(plane_parallelism: bool) -> SsdConfig {
     SsdConfig {
@@ -55,7 +65,7 @@ fn conservation() {
         let plane_par: bool = rng.gen();
         let cfg = test_cfg(plane_par);
         let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(512);
-        let report = Simulator::new(cfg, layout).unwrap().run(&trace).unwrap();
+        let report = simulate(cfg, layout, &trace);
         assert_eq!(report.total.count as usize, trace.len(), "seed {seed}");
         let reads = trace.iter().filter(|r| r.op == Op::Read).count() as u64;
         assert_eq!(report.read.count, reads, "seed {seed}");
@@ -84,7 +94,7 @@ fn latency_lower_bounds() {
         let read_min = cfg.read_latency_ns + transfer;
         let write_min = transfer + cfg.write_latency_ns;
         let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(512);
-        let report = Simulator::new(cfg, layout).unwrap().run(&trace).unwrap();
+        let report = simulate(cfg, layout, &trace);
         if report.read.count > 0 {
             assert!(report.read.min_ns >= read_min, "seed {seed}");
         }
@@ -108,7 +118,7 @@ fn dynamic_policy_preserves_conservation() {
             .with_lpn_space_all(512)
             .with_policy(0, PageAllocPolicy::Dynamic)
             .with_policy(1, PageAllocPolicy::Dynamic);
-        let report = Simulator::new(cfg, layout).unwrap().run(&trace).unwrap();
+        let report = simulate(cfg, layout, &trace);
         assert_eq!(report.total.count as usize, trace.len(), "seed {seed}");
         // Breakdown accounting is per page-command; request latency is the
         // max over a request's commands. They coincide for single-page
@@ -147,10 +157,7 @@ fn isolation_is_complete() {
 
         let run_pair = |tr: &[IoRequest]| {
             let layout = TenantLayout::isolated(2, &cfg).with_lpn_space_all(512);
-            Simulator::new(cfg.clone(), layout)
-                .unwrap()
-                .run(tr)
-                .unwrap()
+            simulate(cfg.clone(), layout, tr)
         };
         let with_neighbor = run_pair(&trace);
         let alone = run_pair(&t0_only);

@@ -2,7 +2,7 @@
 //! isolates, sharing really pools, and the hybrid allocator changes only
 //! what it should.
 
-use ssdkeeper_repro::flash_sim::{IoRequest, Op, SsdConfig};
+use ssdkeeper_repro::flash_sim::{IoRequest, Op, SimArena, SimBuilder, SsdConfig};
 use ssdkeeper_repro::parallel::PoolConfig;
 use ssdkeeper_repro::ssdkeeper::label::{run_under_strategy, EvalConfig};
 use ssdkeeper_repro::ssdkeeper::Strategy;
@@ -35,9 +35,24 @@ fn isolation_protects_the_victim_from_a_noisy_neighbor() {
     let trace = victim_aggressor_trace();
     let spaces = [1 << 10, 1 << 10];
     // rw chars: victim reads (1), aggressor writes (0).
-    let shared = run_under_strategy(&trace, Strategy::Shared, &[1, 0], &spaces, &eval()).unwrap();
-    let isolated =
-        run_under_strategy(&trace, Strategy::Isolated, &[1, 0], &spaces, &eval()).unwrap();
+    let shared = run_under_strategy(
+        &trace,
+        Strategy::Shared,
+        &[1, 0],
+        &spaces,
+        &eval(),
+        &mut SimArena::new(),
+    )
+    .unwrap();
+    let isolated = run_under_strategy(
+        &trace,
+        Strategy::Isolated,
+        &[1, 0],
+        &spaces,
+        &eval(),
+        &mut SimArena::new(),
+    )
+    .unwrap();
     // The victim's reads must be dramatically faster when isolated from
     // the write-saturated aggressor (the paper's noisy-neighbor effect).
     let shared_victim = shared.tenants[0].read.mean_us();
@@ -60,6 +75,7 @@ fn two_part_split_confines_tenants_to_their_groups() {
         &[1, 0],
         &spaces,
         &eval(),
+        &mut SimArena::new(),
     )
     .unwrap();
     // Victim (read group, 7 channels) stays fast.
@@ -95,6 +111,7 @@ fn four_part_assignment_is_positional() {
         &[1, 1, 1, 1],
         &[1 << 10; 4],
         &eval(),
+        &mut SimArena::new(),
     )
     .unwrap();
     let reads: Vec<f64> = report.tenants.iter().map(|t| t.read.mean_us()).collect();
@@ -123,8 +140,15 @@ fn all_42_strategies_complete_on_a_generic_mix() {
         .collect();
     let trace = mix_chronological(&streams, 2_000);
     for strategy in Strategy::all_for_tenants(4) {
-        let report = run_under_strategy(&trace, strategy, &[0, 1, 0, 1], &[1 << 10; 4], &eval())
-            .unwrap_or_else(|e| panic!("{strategy} failed: {e}"));
+        let report = run_under_strategy(
+            &trace,
+            strategy,
+            &[0, 1, 0, 1],
+            &[1 << 10; 4],
+            &eval(),
+            &mut SimArena::new(),
+        )
+        .unwrap_or_else(|e| panic!("{strategy} failed: {e}"));
         assert_eq!(report.total.count, 2_000, "{strategy} lost requests");
     }
 }
@@ -135,14 +159,16 @@ fn reads_follow_data_after_reallocation() {
     // then read the old data: the reads must still succeed (they follow
     // the mapping table) and new writes must not conflict with them.
     use ssdkeeper_repro::flash_sim::sim::Reallocation;
-    use ssdkeeper_repro::flash_sim::{Simulator, TenantLayout};
+    use ssdkeeper_repro::flash_sim::TenantLayout;
 
     let cfg = eval().ssd;
-    let layout = ssdkeeper_repro::flash_sim::TenantLayout::from_channel_lists(&[vec![0]], &cfg)
+    let layout = TenantLayout::from_channel_lists(&[vec![0]], &cfg)
         .unwrap()
         .with_lpn_space_all(256);
-    let _ = TenantLayout::shared(1, &cfg); // type in scope
-    let mut sim = Simulator::new(cfg, layout).unwrap();
+    let mut arena = SimArena::new();
+    let mut sim = SimBuilder::new(cfg, layout)
+        .build_with_arena(&mut arena)
+        .unwrap();
     sim.schedule_reallocation(Reallocation::new(1_000_000, vec![(0, vec![7], None)]))
         .unwrap();
     let mut trace: Vec<IoRequest> = (0..64)
@@ -171,7 +197,7 @@ fn reads_follow_data_after_reallocation() {
     for (i, r) in trace.iter_mut().enumerate() {
         r.id = i as u64;
     }
-    let report = sim.run(&trace).unwrap();
+    let report = sim.run_reclaim(&trace, &mut arena).unwrap();
     assert_eq!(report.total.count as usize, trace.len());
     assert_eq!(report.read.count, 64);
 }
