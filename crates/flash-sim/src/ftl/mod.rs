@@ -45,13 +45,14 @@ pub enum PageState {
 #[derive(Debug, Clone)]
 pub struct BlockState {
     /// Write pointer: next free page index, `== pages_per_block` when full.
-    pub next_page: u32,
+    /// Every page at or above it is `Free`.
+    pub(crate) next_page: u32,
     /// Number of `Valid` pages.
-    pub valid_count: u32,
+    pub(crate) valid_count: u32,
     /// Lifetime erase count.
-    pub erase_count: u32,
+    pub(crate) erase_count: u32,
     /// Per-page state.
-    pub pages: Vec<PageState>,
+    pub(crate) pages: Vec<PageState>,
 }
 
 impl BlockState {
@@ -74,13 +75,18 @@ impl BlockState {
 #[derive(Debug, Clone)]
 pub struct PlaneState {
     /// All blocks in the plane.
-    pub blocks: Vec<BlockState>,
+    pub(crate) blocks: Vec<BlockState>,
     /// Block currently receiving writes, if any.
-    pub active_block: Option<usize>,
+    pub(crate) active_block: Option<usize>,
     /// Fully erased blocks available to become active.
-    pub free_blocks: Vec<usize>,
+    pub(crate) free_blocks: Vec<usize>,
     /// Count of `Free` pages across the plane (fast full-check).
-    pub free_pages: u64,
+    pub(crate) free_pages: u64,
+    /// Watermark: one past the highest block index ever taken off the
+    /// free list since the last reset. Blocks at or above it were never
+    /// popped, so they are pristine (no pages written, never erased) and
+    /// [`PlaneState::reset`] can skip them.
+    touched: usize,
     /// GC victim index: bucket `v` holds candidate entries for **full,
     /// non-active** blocks with `valid_count == v` as a lazy min-heap of
     /// `(erase_count << 32) | block_idx` keys, so the greedy victim — min
@@ -112,6 +118,7 @@ impl PlaneState {
             active_block: None,
             free_blocks: (0..cfg.blocks_per_plane).rev().collect(),
             free_pages: (cfg.blocks_per_plane * cfg.pages_per_block) as u64,
+            touched: 0,
             full_blocks: vec![std::collections::BinaryHeap::new(); cfg.pages_per_block + 1],
             erase_hist: vec![cfg.blocks_per_plane as u32],
             min_erase: 0,
@@ -214,18 +221,37 @@ impl PlaneState {
         self.max_erase - self.min_erase
     }
 
+    /// Takes the next block off the free list, raising the watermark past
+    /// it. The only way a block leaves the free list.
+    #[inline]
+    fn pop_free_block(&mut self) -> Option<usize> {
+        let b = self.free_blocks.pop()?;
+        self.touched = self.touched.max(b + 1);
+        Some(b)
+    }
+
     /// Restores the factory-fresh [`PlaneState::new`] state in place,
     /// keeping the block, free-list, victim-bucket, and histogram
     /// allocations. The plane's shape (block count, pages per block) must
     /// be unchanged — [`Ftl::reset`] guarantees it via the geometry check.
+    ///
+    /// Costs O(blocks written since the last reset), not O(plane size):
+    /// blocks at or above the `touched` watermark are already pristine,
+    /// and within a written block only the pages below its write pointer
+    /// can be non-`Free`. A plane nothing was written to is untouched
+    /// state, free list included, and returns at once.
     fn reset(&mut self) {
+        if self.touched == 0 {
+            return;
+        }
         let blocks_per_plane = self.blocks.len();
-        for b in &mut self.blocks {
+        for b in &mut self.blocks[..self.touched] {
+            b.pages[..b.next_page as usize].fill(PageState::Free);
             b.next_page = 0;
             b.valid_count = 0;
             b.erase_count = 0;
-            b.pages.fill(PageState::Free);
         }
+        self.touched = 0;
         self.active_block = None;
         self.free_blocks.clear();
         self.free_blocks.extend((0..blocks_per_plane).rev());
@@ -525,7 +551,7 @@ impl Ftl {
             None => true,
         };
         if need_new_block {
-            match state.free_blocks.pop() {
+            match state.pop_free_block() {
                 Some(b) => {
                     // The outgoing active block (full, by `need_new_block`)
                     // leaves rotation and becomes victim material. Insert
@@ -652,8 +678,7 @@ impl Ftl {
                 }
                 let state = &mut self.planes[plane];
                 let b = state
-                    .free_blocks
-                    .pop()
+                    .pop_free_block()
                     .expect("erased victim provides a spare block");
                 // The outgoing active block (full, by `need_new_block`)
                 // leaves rotation and becomes victim material.
@@ -709,6 +734,18 @@ impl Ftl {
                 free_pages, plane.free_pages,
                 "plane {pi} free_pages mismatch"
             );
+            // Every block at or above the reset watermark is pristine.
+            assert!(plane.touched <= plane.blocks.len());
+            for (bi, b) in plane.blocks.iter().enumerate().skip(plane.touched) {
+                assert!(
+                    b.next_page == 0
+                        && b.valid_count == 0
+                        && b.erase_count == 0
+                        && b.pages.iter().all(|p| matches!(p, PageState::Free)),
+                    "plane {pi} block {bi} above the watermark {} is not pristine",
+                    plane.touched
+                );
+            }
             // The victim index must cover exactly the full, non-active
             // blocks: after discarding stale entries, each bucket's live
             // keys are the `(erase, idx)` pairs of its blocks.
@@ -866,6 +903,160 @@ mod tests {
     #[test]
     fn write_amplification_default_is_one() {
         assert_eq!(FtlStats::default().write_amplification(), 1.0);
+    }
+
+    /// Asserts `warm` holds exactly the state `fresh` does, plane by
+    /// plane: block contents, free-list order, victim buckets, erase
+    /// histogram and cursors, watermark, mapping tables, counters.
+    fn assert_same_state(warm: &Ftl, fresh: &Ftl) {
+        assert_eq!(warm.planes.len(), fresh.planes.len());
+        for (pi, (w, f)) in warm.planes.iter().zip(&fresh.planes).enumerate() {
+            for (bi, (wb, fb)) in w.blocks.iter().zip(&f.blocks).enumerate() {
+                assert_eq!(
+                    (wb.next_page, wb.valid_count, wb.erase_count),
+                    (fb.next_page, fb.valid_count, fb.erase_count),
+                    "plane {pi} block {bi} counters"
+                );
+                assert_eq!(wb.pages, fb.pages, "plane {pi} block {bi} pages");
+            }
+            assert_eq!(w.blocks.len(), f.blocks.len(), "plane {pi} block count");
+            assert_eq!(w.active_block, f.active_block, "plane {pi} active block");
+            assert_eq!(w.free_blocks, f.free_blocks, "plane {pi} free-list order");
+            assert_eq!(w.free_pages, f.free_pages, "plane {pi} free pages");
+            assert_eq!(w.touched, f.touched, "plane {pi} watermark");
+            assert_eq!(w.full_blocks.len(), f.full_blocks.len());
+            assert!(
+                w.full_blocks.iter().all(|b| b.is_empty()),
+                "plane {pi} victim buckets not emptied"
+            );
+            assert_eq!(w.erase_hist, f.erase_hist, "plane {pi} erase histogram");
+            assert_eq!(
+                (w.min_erase, w.max_erase),
+                (f.min_erase, f.max_erase),
+                "plane {pi} erase cursors"
+            );
+        }
+        assert_eq!(warm.maps.len(), fresh.maps.len());
+        for (w, f) in warm.maps.iter().zip(&fresh.maps) {
+            assert_eq!(w.lpn_space(), f.lpn_space());
+            assert_eq!(w.mapped_count(), 0);
+            assert_eq!(w.iter_mapped().count(), 0);
+        }
+        assert_eq!(warm.stats, fresh.stats);
+        assert_eq!(warm.gc_trigger_blocks, fresh.gc_trigger_blocks);
+    }
+
+    /// Seeded random writes to the low half of the planes (skewed toward
+    /// plane 0) and seeding reads, checking the invariants after every
+    /// operation (so a block written past the reset watermark is caught
+    /// the moment it happens); returns every outcome so two FTLs fed the
+    /// same stream can be compared.
+    fn random_traffic(
+        ftl: &mut Ftl,
+        layout: &TenantLayout,
+        seed: u64,
+        ops: usize,
+    ) -> Vec<Result<PhysAddr, FtlError>> {
+        use simrng::{Rng, SimRng};
+        let mut rng = SimRng::seed_from_u64(seed);
+        let planes = ftl.geometry().total_planes() / 2;
+        (0..ops)
+            .map(|_| {
+                let tenant = rng.gen_range(0..layout.tenant_count()) as u16;
+                let lpn = rng.gen_range(0u64..layout.tenant(tenant as usize).lpn_space);
+                let out = if rng.gen_bool(0.9) {
+                    let plane = rng.gen_range(0..planes).min(rng.gen_range(0..planes));
+                    ftl.write(tenant, lpn, plane).map(|o| o.addr)
+                } else {
+                    ftl.translate_read(tenant, lpn, layout)
+                };
+                ftl.check_invariants();
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_after_random_gc_traffic_matches_a_fresh_ftl() {
+        let cfg = SsdConfig {
+            channels: 4,
+            blocks_per_plane: 16,
+            wear_leveling_threshold: 2,
+            ..SsdConfig::small_test()
+        };
+        // Seeding reads stay on channels 0-1 too, so the planes of
+        // channels 2-3 are never written and keep a zero watermark.
+        let dirty_layout =
+            TenantLayout::from_channel_lists(&[vec![0, 1], vec![0, 1], vec![1]], &cfg)
+                .unwrap()
+                .with_lpn_space_all(40);
+        let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(24);
+        for seed in [1u64, 2, 3, 4] {
+            let mut ftl = Ftl::new(&cfg, &dirty_layout);
+            random_traffic(&mut ftl, &dirty_layout, seed, 2_500);
+            ftl.check_invariants();
+            assert!(ftl.stats().gc_blocks_erased > 0, "seed {seed}: no GC ran");
+            assert!(
+                ftl.planes.iter().any(|p| p.touched == 0),
+                "seed {seed}: traffic should leave some plane untouched"
+            );
+
+            assert!(ftl.reset(&cfg, &layout));
+            ftl.check_invariants();
+            let mut fresh = Ftl::new(&cfg, &layout);
+            assert_same_state(&ftl, &fresh);
+
+            // And the reset FTL behaves like the fresh one from here on.
+            let warm_out = random_traffic(&mut ftl, &layout, seed + 50, 1_000);
+            let fresh_out = random_traffic(&mut fresh, &layout, seed + 50, 1_000);
+            assert_eq!(warm_out, fresh_out, "seed {seed}: outcomes diverged");
+            assert_eq!(ftl.stats(), fresh.stats());
+            ftl.check_invariants();
+        }
+    }
+
+    #[test]
+    fn gc_migration_into_a_fresh_block_raises_the_watermark() {
+        // 8 blocks of 8 pages, GC below 4 spare blocks.
+        let cfg = SsdConfig {
+            gc_free_block_threshold: 0.5,
+            ..SsdConfig::small_test()
+        };
+        let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(64);
+        let mut ftl = Ftl::new(&cfg, &layout);
+        // Fresh data fills blocks 0-4 and 3 pages of block 5; GC fires
+        // from block 5 on but finds only fully valid victims.
+        for lpn in 0..43 {
+            ftl.write(0, lpn, 0).unwrap();
+        }
+        assert_eq!(ftl.stats().gc_blocks_erased, 0);
+        assert_eq!(ftl.planes[0].touched, 6);
+        // One overwrite makes block 0 a 7-valid victim; its pages overflow
+        // block 5's 4 free pages into block 6, popped by the migration.
+        let gc = ftl.write(0, 0, 0).unwrap().gc.expect("GC pass");
+        assert_eq!((gc.victim_block, gc.moved_pages), (0, 7));
+        assert_eq!(ftl.planes[0].touched, 7);
+        ftl.check_invariants();
+        assert!(ftl.reset(&cfg, &layout));
+        assert_same_state(&ftl, &Ftl::new(&cfg, &layout));
+    }
+
+    #[test]
+    fn reset_after_a_full_plane_matches_a_fresh_ftl() {
+        let cfg = SsdConfig {
+            gc_free_block_threshold: 0.0,
+            ..SsdConfig::small_test()
+        };
+        let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(10_000);
+        let mut ftl = Ftl::new(&cfg, &layout);
+        let mut lpn = 0;
+        while ftl.write(0, lpn, 1).is_ok() {
+            lpn += 1;
+        }
+        assert_eq!(ftl.planes[1].touched, cfg.blocks_per_plane);
+        assert!(ftl.reset(&cfg, &layout));
+        ftl.check_invariants();
+        assert_same_state(&ftl, &Ftl::new(&cfg, &layout));
     }
 
     #[test]

@@ -37,10 +37,15 @@ impl WearSummary {
 /// heap allocation. The accumulation order matches the flattened
 /// plane-major order the old vector used, so the floating-point results
 /// are bit-identical.
+///
+/// A device nothing was erased on — every short labelling run — is
+/// answered from the per-plane erase maxima in O(planes): all counts are
+/// 0, so the streaming pass would produce exactly `+0.0` for both the
+/// mean and the standard deviation, which is what `default` holds.
 pub fn wear_summary(ftl: &Ftl) -> WearSummary {
     let geo = ftl.geometry();
     let blocks = geo.total_planes() * geo.blocks_per_plane();
-    if blocks == 0 {
+    if blocks == 0 || (0..geo.total_planes()).all(|p| ftl.plane_ref(p).max_erase == 0) {
         return WearSummary::default();
     }
     let mut total: u64 = 0;
@@ -139,6 +144,48 @@ mod tests {
         assert!((w.mean - 4.0).abs() < 1e-12);
         // population std dev of [1,3,5,7] = sqrt(5)
         assert!((w.std_dev - 5.0f64.sqrt()).abs() < 1e-12);
+    }
+
+    /// Every block's erase count, flattened plane-major.
+    fn flat_counts(ftl: &Ftl) -> Vec<u32> {
+        (0..ftl.geometry().total_planes())
+            .flat_map(|p| ftl.plane_ref(p).blocks.iter().map(|b| b.erase_count))
+            .collect()
+    }
+
+    /// `wear_summary` must agree with `summarize` to the bit.
+    fn assert_bit_identical(got: WearSummary, want: WearSummary) {
+        assert_eq!(got, want);
+        assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+        assert_eq!(got.std_dev.to_bits(), want.std_dev.to_bits());
+    }
+
+    #[test]
+    fn written_but_never_erased_device_matches_summarize_bitwise() {
+        let cfg = SsdConfig::small_test();
+        let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(64);
+        let mut ftl = Ftl::new(&cfg, &layout);
+        for lpn in 0..20u64 {
+            ftl.write(0, lpn, (lpn % 4) as usize).unwrap();
+        }
+        assert_eq!(ftl.stats().gc_blocks_erased, 0);
+        assert_bit_identical(wear_summary(&ftl), summarize(&flat_counts(&ftl)));
+    }
+
+    #[test]
+    fn erased_device_matches_summarize_bitwise() {
+        let cfg = SsdConfig::small_test();
+        let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(8);
+        // A few erases (most blocks still at 0) through to every block of
+        // the written planes erased many times.
+        for writes in [250u64, 1_000] {
+            let mut ftl = Ftl::new(&cfg, &layout);
+            for i in 0..writes {
+                ftl.write(0, i % 8, (i % 3) as usize).unwrap();
+            }
+            assert!(ftl.stats().gc_blocks_erased > 0);
+            assert_bit_identical(wear_summary(&ftl), summarize(&flat_counts(&ftl)));
+        }
     }
 
     #[test]

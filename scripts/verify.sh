@@ -29,6 +29,16 @@ fi
 echo "==> zero-warm-allocation check (alloc_discipline)"
 cargo test -q --offline -p flash-sim --test alloc_discipline
 
+# Warm-reset equivalence gate: a simulator built out of a recycled
+# SimArena must report and capture byte-identically to a fresh build.
+# The FTL's reset only rewrites the blocks the previous run took off each
+# plane's free list, so this suite dirties arenas with runs of very
+# different footprints (full-device GC, a few pages, a run that dies on a
+# full plane) before each warm run. Runs in the workspace pass above too;
+# kept explicit so a failure names the reset contract.
+echo "==> warm-reset equivalence suite (arena_reuse)"
+cargo test -q --offline -p flash-sim --test arena_reuse
+
 # Event-core oracle gate: the timer-wheel EventQueue must serve the exact
 # (time, seq) sequence a reference binary heap serves over seeded random
 # interleavings — same-tick bursts, horizon overflow, and the engine's
