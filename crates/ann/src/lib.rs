@@ -46,7 +46,6 @@ pub mod matrix;
 pub mod metrics;
 pub mod network;
 pub mod optimizer;
-pub mod schedule;
 pub mod train;
 
 /// Convenience re-exports.
@@ -56,7 +55,6 @@ pub mod prelude {
     pub use crate::matrix::Matrix;
     pub use crate::network::{ForwardScratch, Network};
     pub use crate::optimizer::{AdaGrad, Adam, Momentum, Optimizer, RmsProp, Sgd};
-    pub use crate::schedule::{EarlyStopping, LrSchedule, Scheduled};
     pub use crate::train::{TrainHistory, Trainer};
 }
 

@@ -4,65 +4,28 @@
 //! that simulation order — and therefore every latency the simulator
 //! reports — is fully deterministic.
 //!
-//! # Structure
-//!
-//! The queue is a hierarchical timing wheel (a calendar queue): 8 levels of
-//! 64 slots, 6 bits of the timestamp per level, covering a 2^48 ns horizon
-//! (~3.2 simulated days) with an overflow list beyond that. Push and pop are
-//! O(1) amortized — an event cascades at most once per level on its way
-//! down — versus the O(log n) of the `BinaryHeap` this replaced, and the
-//! wheel never compares timestamps pairwise on the hot path.
-//!
-//! An event's level is the position of the **highest bit in which its time
-//! differs from the wheel cursor `now`**, divided by 6 (Tokio-wheel style),
-//! not the magnitude of the delta. This choice is what makes the wheel
-//! exact rather than approximate:
-//!
-//! * every slot holds exactly one 2^(6·level) time bucket (two events in
-//!   the same slot of the same level always share `time >> 6·level`), so a
-//!   slot's position fully determines its bucket bound;
-//! * occupied slots at a level are always at or after the cursor's slot
-//!   within the cursor's parent bucket — no wraparound ambiguity;
-//! * levels are strictly nested: every event at level L fires before any
-//!   event at level L+1, so the lowest occupied level always holds the
-//!   global minimum and `pop` never scans the full wheel.
-//!
-//! # Determinism
-//!
-//! Buckets are FIFO `Vec`s. A level-0 slot spans exactly one nanosecond, so
-//! when the cursor reaches it the slot is drained into a ready buffer and
-//! sorted by `seq` — equal-time events therefore pop in exact insertion
-//! order no matter how they were interleaved across levels, cascades, or
-//! the overflow list on the way in. This makes the wheel's pop sequence
-//! bit-identical to the `(time, seq)` min-heap it replaced (property-tested
-//! against a reference heap in `tests/event_oracle.rs`).
+//! The queue is a `BinaryHeap` min-ordered by `(time, seq)`, with sequence
+//! numbers handed out at push time, so equal-time events pop in exact
+//! insertion order. The pending set is small: the simulator never heaps
+//! trace arrivals (see below), so the heap holds only in-flight work.
 //!
 //! # Contract
 //!
 //! Time is monotone: events must not be scheduled before the time of the
 //! last popped event (`push` clamps and debug-asserts). `pop_before(limit)`
 //! serves only events with `time < limit` — the simulator uses it to merge
-//! the wheel against the sorted trace-arrival cursor, with arrivals winning
-//! ties exactly as their up-front sequence numbers did before. After
-//! `pop_before(t)` returns `None`, `advance_to(t)` may move the cursor
-//! forward so subsequent pushes are placed relative to fresh time.
+//! the queue against the sorted trace-arrival cursor, with arrivals winning
+//! ties exactly as up-front sequence numbers 0..n-1 would make them. After
+//! `pop_before(t)` returns `None`, `advance_to(t)` moves the clamp floor
+//! forward to the arrival just served.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifier of a page-granular flash command in the engine's arena.
 pub type CmdId = u32;
 /// Identifier of a host request in the engine's arena.
 pub type ReqId = u32;
-
-/// Timestamp bits consumed per wheel level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level (2^SLOT_BITS).
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; together they cover `HORIZON_BITS` bits of timestamp.
-const LEVELS: usize = 8;
-/// Events whose time differs from `now` at or above this bit go to the
-/// overflow list until the cursor catches up.
-const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,69 +65,18 @@ impl PartialOrd for Event {
     }
 }
 
-/// Arena index terminator for slot lists and the free list.
-const NIL: u32 = u32::MAX;
-
-/// One arena cell: an event plus its intrusive FIFO link.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    ev: Event,
-    next: u32,
-}
-
-/// Hierarchical timing wheel serving events in exact `(time, seq)` order.
+/// Min-queue of events in exact `(time, seq)` order.
 ///
-/// Events live in a single node arena threaded through per-slot intrusive
-/// FIFO lists, so a cascade re-links nodes instead of copying them, the
-/// steady state performs no allocation (freed nodes are recycled), and the
-/// whole structure — bitmaps, head/tail tables, and an arena sized by peak
-/// in-flight events — stays cache-resident.
-#[derive(Debug)]
+/// `Default` does not allocate, and [`EventQueue::reset`] keeps the heap's
+/// buffer, so a recycled queue (see [`crate::SimArena`]) starts its next
+/// run without touching the allocator.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Wheel cursor: the time of the last served event (or the last
-    /// `advance_to`). All pending events are at or after `now`.
+    heap: BinaryHeap<Reverse<Event>>,
+    /// Time of the last served event (or the last `advance_to`); pushes
+    /// are clamped to it.
     now: u64,
-    /// Events at exactly `now`, served front-first in `seq` order.
-    ready: VecDeque<Event>,
-    /// Whether `ready` needs a seq sort before the next serve.
-    ready_dirty: bool,
-    /// Node arena; capacity tracks peak pending events, then stays flat.
-    nodes: Vec<Node>,
-    /// Head of the recycled-node list (`NIL` when exhausted).
-    free_head: u32,
-    /// First node of each slot's FIFO list (valid iff the occupied bit is
-    /// set). Boxed so the queue stays small inside `Simulator`.
-    heads: Box<[[u32; SLOTS]; LEVELS]>,
-    /// Last node of each slot's FIFO list (valid iff occupied).
-    tails: Box<[[u32; SLOTS]; LEVELS]>,
-    /// Per-level bitmap of non-empty slots.
-    occupied: [u64; LEVELS],
-    /// Events beyond the wheel horizon, in push order.
-    overflow: Vec<Event>,
-    /// Minimum time in `overflow` (`u64::MAX` when empty).
-    overflow_min: u64,
-    /// Total pending events across ready, wheel, and overflow.
-    len: usize,
     next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self {
-            now: 0,
-            ready: VecDeque::new(),
-            ready_dirty: false,
-            nodes: Vec::new(),
-            free_head: NIL,
-            heads: Box::new([[NIL; SLOTS]; LEVELS]),
-            tails: Box::new([[NIL; SLOTS]; LEVELS]),
-            occupied: [0; LEVELS],
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            len: 0,
-            next_seq: 0,
-        }
-    }
 }
 
 impl EventQueue {
@@ -173,338 +85,67 @@ impl EventQueue {
         Self::default()
     }
 
-    /// An empty queue with pre-reserved arena capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::default();
-        q.nodes.reserve(cap.min(1 << 16));
-        q
-    }
-
-    /// Restores the freshly-constructed state while keeping the node
-    /// arena, ready buffer, and overflow list allocations, so a recycled
-    /// queue (see [`crate::SimArena`]) starts its next run without
-    /// touching the allocator.
+    /// Restores the freshly-constructed state, keeping the heap's buffer.
     pub fn reset(&mut self) {
+        self.heap.clear();
         self.now = 0;
-        self.ready.clear();
-        self.ready_dirty = false;
-        self.nodes.clear();
-        self.free_head = NIL;
-        for level in self.heads.iter_mut() {
-            level.fill(NIL);
-        }
-        for level in self.tails.iter_mut() {
-            level.fill(NIL);
-        }
-        self.occupied = [0; LEVELS];
-        self.overflow.clear();
-        self.overflow_min = u64::MAX;
-        self.len = 0;
         self.next_seq = 0;
-    }
-
-    /// Takes a recycled (or fresh) arena node for `ev`.
-    #[inline]
-    fn alloc(&mut self, ev: Event) -> u32 {
-        let n = self.free_head;
-        if n != NIL {
-            self.free_head = self.nodes[n as usize].next;
-            self.nodes[n as usize] = Node { ev, next: NIL };
-            n
-        } else {
-            let n = self.nodes.len() as u32;
-            self.nodes.push(Node { ev, next: NIL });
-            n
-        }
-    }
-
-    /// Returns node `n` to the free list.
-    #[inline]
-    fn release(&mut self, n: u32) {
-        self.nodes[n as usize].next = self.free_head;
-        self.free_head = n;
-    }
-
-    /// Appends node `n` to the FIFO list of `slots[level][slot]`.
-    #[inline]
-    fn link(&mut self, level: usize, slot: usize, n: u32) {
-        let bit = 1u64 << slot;
-        if self.occupied[level] & bit != 0 {
-            let t = self.tails[level][slot];
-            self.nodes[t as usize].next = n;
-        } else {
-            self.occupied[level] |= bit;
-            self.heads[level][slot] = n;
-        }
-        self.tails[level][slot] = n;
     }
 
     /// Schedules `kind` to fire at `time`.
     ///
     /// `time` must be at or after the time of the last popped event (the
-    /// discrete-event contract); past times are clamped to the cursor.
+    /// discrete-event contract); past times are clamped to it.
     pub fn push(&mut self, time: u64, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        self.insert(Event { time, seq, kind });
-    }
-
-    /// Places an already-sequenced event relative to the current cursor.
-    #[inline]
-    fn insert(&mut self, ev: Event) {
-        let xor = ev.time ^ self.now;
-        if xor == 0 {
-            // Due immediately. Pushes arrive in seq order (so appending
-            // keeps `ready` sorted); cascaded/migrated events may not.
-            if self.ready.back().is_some_and(|b| b.seq > ev.seq) {
-                self.ready_dirty = true;
-            }
-            self.ready.push_back(ev);
-            return;
-        }
-        let hi = 63 - xor.leading_zeros();
-        if hi >= HORIZON_BITS {
-            self.overflow_min = self.overflow_min.min(ev.time);
-            self.overflow.push(ev);
-            return;
-        }
-        let level = (hi / SLOT_BITS) as usize;
-        let slot = ((ev.time >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let n = self.alloc(ev);
-        self.link(level, slot, n);
-    }
-
-    /// Re-places node `n` (already unlinked) relative to the current
-    /// cursor, re-linking it without touching the arena allocator unless
-    /// the event leaves the wheel.
-    #[inline]
-    fn insert_node(&mut self, n: u32) {
-        let ev = self.nodes[n as usize].ev;
-        let xor = ev.time ^ self.now;
-        if xor == 0 {
-            if self.ready.back().is_some_and(|b| b.seq > ev.seq) {
-                self.ready_dirty = true;
-            }
-            self.ready.push_back(ev);
-            self.release(n);
-            return;
-        }
-        let hi = 63 - xor.leading_zeros();
-        if hi >= HORIZON_BITS {
-            self.overflow_min = self.overflow_min.min(ev.time);
-            self.overflow.push(ev);
-            self.release(n);
-            return;
-        }
-        let level = (hi / SLOT_BITS) as usize;
-        let slot = ((ev.time >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.nodes[n as usize].next = NIL;
-        self.link(level, slot, n);
+        self.heap.push(Reverse(Event { time, seq, kind }));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event> {
-        self.pop_inner(None)
+        let Reverse(ev) = self.heap.pop()?;
+        self.now = ev.time;
+        Some(ev)
     }
 
     /// Removes and returns the earliest event **strictly before** `limit`,
-    /// if any. The cursor never advances to or past `limit`, so the caller
-    /// may still schedule events at `limit` afterwards.
+    /// if any, so the caller may still schedule events at `limit`
+    /// afterwards.
     pub fn pop_before(&mut self, limit: u64) -> Option<Event> {
-        self.pop_inner(Some(limit))
-    }
-
-    fn pop_inner(&mut self, limit: Option<u64>) -> Option<Event> {
-        loop {
-            if !self.ready.is_empty() {
-                if limit.is_some_and(|lim| self.now >= lim) {
-                    return None;
-                }
-                if self.ready_dirty {
-                    self.ready.make_contiguous().sort_unstable_by_key(|e| e.seq);
-                    self.ready_dirty = false;
-                }
-                self.len -= 1;
-                return self.ready.pop_front();
-            }
-            if self.len == 0 {
-                return None;
-            }
-            // Overflow events become placeable once the cursor shares
-            // their top bits.
-            if !self.overflow.is_empty() && (self.overflow_min ^ self.now) < (1 << HORIZON_BITS) {
-                self.migrate_overflow();
-                continue;
-            }
-            // Levels are strictly nested (see module docs): the lowest
-            // occupied level holds the earliest pending events, and its
-            // first occupied slot is the earliest bucket.
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                // Only overflow remains, too far ahead to place: jump.
-                debug_assert!(!self.overflow.is_empty());
-                if limit.is_some_and(|lim| self.overflow_min >= lim) {
-                    return None;
-                }
-                self.now = self.overflow_min;
-                self.migrate_overflow();
-                continue;
-            };
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            if level == 0 {
-                // A level-0 slot spans exactly 1 ns within the cursor's
-                // 64 ns bucket, so its time is exact.
-                let t = (self.now & !(SLOTS as u64 - 1)) | slot as u64;
-                if limit.is_some_and(|lim| t >= lim) {
-                    return None;
-                }
-                self.now = t;
-                self.occupied[0] &= !(1 << slot);
-                let head = self.heads[0][slot];
-                let first = self.nodes[head as usize];
-                if first.next == NIL {
-                    // The common case: an untied event skips the ready
-                    // buffer (and its seq sort) entirely.
-                    self.release(head);
-                    self.len -= 1;
-                    return Some(first.ev);
-                }
-                let mut n = head;
-                while n != NIL {
-                    let node = self.nodes[n as usize];
-                    self.ready.push_back(node.ev);
-                    self.release(n);
-                    n = node.next;
-                }
-                self.ready_dirty = true;
-            } else {
-                let shift = SLOT_BITS * level as u32;
-                let parent = self.now >> (shift + SLOT_BITS);
-                let base = ((parent << SLOT_BITS) | slot as u64) << shift;
-                if base > self.now {
-                    // Every pending event is at or after this bucket's
-                    // start, so the cursor may advance to it.
-                    if limit.is_some_and(|lim| base >= lim) {
-                        return None;
-                    }
-                    self.now = base;
-                }
-                // Cascade: the bucket now shares the cursor's upper bits,
-                // so each event re-places at a strictly lower level.
-                self.cascade(level, slot);
-            }
+        if self.peek_time()? < limit {
+            self.pop()
+        } else {
+            None
         }
     }
 
-    /// Moves the cursor forward to `t` so later pushes are placed relative
-    /// to fresh time. Only valid when no pending event is earlier than `t`
-    /// (i.e. after `pop_before(t)` returned `None`).
+    /// Moves the clamp floor forward to `t`. Only valid when no pending
+    /// event is earlier than `t` (i.e. after `pop_before(t)` returned
+    /// `None`).
     pub fn advance_to(&mut self, t: u64) {
-        if t <= self.now {
-            return;
-        }
         debug_assert!(
             self.peek_time().is_none_or(|pt| pt >= t),
             "advance_to past a pending event"
         );
-        self.now = t;
-        // A slot whose bucket contains the new cursor holds events that
-        // now belong at a lower level; re-place them.
-        for level in 1..LEVELS {
-            let c = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            if self.occupied[level] & (1 << c) != 0 {
-                self.cascade(level, c);
-            }
-        }
-        // The jump may bring overflow events inside the horizon — or to
-        // exactly `t`. Place them now, so the pop fast paths keep their
-        // invariant that ready/wheel heads are globally minimal and a
-        // later push at `t` cannot overtake an earlier event parked in
-        // the overflow list.
-        if !self.overflow.is_empty() && (self.overflow_min ^ t) < (1 << HORIZON_BITS) {
-            self.migrate_overflow();
-        }
-        // Events at exactly `t` (the cursor's own level-0 slot) move to the
-        // ready buffer, preserving the invariant that wheel slots only hold
-        // events strictly after `now` — a later push at `t` must queue
-        // behind them, not jump ahead via `ready`.
-        let c0 = (t & (SLOTS as u64 - 1)) as usize;
-        if self.occupied[0] & (1 << c0) != 0 {
-            self.occupied[0] &= !(1 << c0);
-            let mut n = self.heads[0][c0];
-            while n != NIL {
-                let node = self.nodes[n as usize];
-                self.ready.push_back(node.ev);
-                self.release(n);
-                n = node.next;
-            }
-            self.ready_dirty = true;
-        }
-    }
-
-    /// Empties `slots[level][slot]`, re-placing each event relative to the
-    /// current cursor by re-linking its node.
-    fn cascade(&mut self, level: usize, slot: usize) {
-        self.occupied[level] &= !(1 << slot);
-        let mut n = self.heads[level][slot];
-        while n != NIL {
-            let next = self.nodes[n as usize].next;
-            self.insert_node(n);
-            n = next;
-        }
-    }
-
-    /// Re-places every overflow event the wheel can now hold.
-    fn migrate_overflow(&mut self) {
-        let mut kept = Vec::new();
-        let mut new_min = u64::MAX;
-        for ev in std::mem::take(&mut self.overflow) {
-            if (ev.time ^ self.now) < (1 << HORIZON_BITS) {
-                self.insert(ev);
-            } else {
-                new_min = new_min.min(ev.time);
-                kept.push(ev);
-            }
-        }
-        self.overflow = kept;
-        self.overflow_min = new_min;
+        self.now = self.now.max(t);
     }
 
     /// Earliest scheduled time without removing the event.
     pub fn peek_time(&self) -> Option<u64> {
-        if !self.ready.is_empty() {
-            return Some(self.now);
-        }
-        let wheel_min = (0..LEVELS).find(|&l| self.occupied[l] != 0).map(|level| {
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            // The first occupied slot of the lowest occupied level holds
-            // the global minimum; find it within the (small) bucket.
-            let mut min = u64::MAX;
-            let mut n = self.heads[level][slot];
-            while n != NIL {
-                let node = &self.nodes[n as usize];
-                min = min.min(node.ev.time);
-                n = node.next;
-            }
-            min
-        });
-        match wheel_min {
-            Some(t) => Some(t.min(self.overflow_min)),
-            None if !self.overflow.is_empty() => Some(self.overflow_min),
-            None => None,
-        }
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -536,7 +177,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::with_capacity(4);
+        let mut q = EventQueue::new();
         assert!(q.peek_time().is_none());
         q.push(42, EventKind::Arrive(0));
         assert_eq!(q.peek_time(), Some(42));
@@ -573,9 +214,8 @@ mod tests {
         }
     }
 
-    /// Events past the 2^48 horizon park in the overflow list and still
-    /// pop in exact order, including a cursor jump when only overflow
-    /// remains.
+    /// Events far in the future, up to `u64::MAX`, still pop in exact
+    /// `(time, seq)` order.
     #[test]
     fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
@@ -598,8 +238,8 @@ mod tests {
         );
     }
 
-    /// `pop_before` is exclusive and never advances the cursor to the
-    /// limit, so the caller can still schedule at the limit afterwards.
+    /// `pop_before` is exclusive, so the caller can still schedule at the
+    /// limit afterwards.
     #[test]
     fn pop_before_is_exclusive_and_advance_is_safe() {
         let mut q = EventQueue::new();
@@ -618,17 +258,16 @@ mod tests {
     }
 
     /// Interleaved push/pop with monotone time keeps exact (time, seq)
-    /// order across cascade boundaries.
+    /// order across widely spread times.
     #[test]
     fn interleaved_pops_respect_seq_across_levels() {
         let mut q = EventQueue::new();
-        // Spread across several levels relative to now = 0.
         q.push(100_000, EventKind::Arrive(0));
         q.push(63, EventKind::Arrive(1));
         q.push(64, EventKind::Arrive(2));
         q.push(100_000, EventKind::Arrive(3));
         assert_eq!(q.pop().unwrap().kind, EventKind::Arrive(1));
-        // Pushing after a pop re-places relative to the advanced cursor.
+        // Pushes after a pop still order by (time, seq).
         q.push(100_000, EventKind::Arrive(4));
         q.push(64, EventKind::Arrive(5));
         let rest: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();

@@ -41,20 +41,6 @@ impl std::fmt::Display for PageAllocPolicy {
 /// engages `min(size, |channels|)` buses at once.
 pub fn static_plane(geo: &Geometry, tenant: &TenantState, lpn: u64) -> usize {
     let set = &tenant.channels;
-    if lpn <= u32::MAX as u64 {
-        // Mapping tables are dense (one slot per LPN), so every reduced
-        // LPN fits 32 bits in practice and the three stripe divisions
-        // collapse to reciprocal multiplies. This runs once per written
-        // page on the admit path.
-        let (div_dies, div_planes) = geo.stripe_divs();
-        let (q1, ch_pos) = set.div_len().divmod(lpn as u32);
-        let (q2, die_in_channel) = div_dies.divmod(q1);
-        let (_, plane_in_die) = div_planes.divmod(q2);
-        let channel = set.channels()[ch_pos as usize] as usize;
-        let die = geo.die_index_of(channel, die_in_channel as usize);
-        return geo.plane_index_of(die, plane_in_die as usize);
-    }
-
     let nch = set.len() as u64;
     let dies_per_channel = geo.dies_per_channel() as u64;
     let planes_per_die = geo.planes_per_die() as u64;
@@ -145,49 +131,6 @@ mod tests {
             .map(|lpn| geo.channel_of_plane(static_plane(&geo, &tenant, lpn)))
             .collect();
         assert_eq!(channels, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    /// The reciprocal-multiply fast path must place every 32-bit LPN on
-    /// the same plane as the plain div/mod stripe arithmetic, across
-    /// channel-set sizes that do and do not divide the LPN space.
-    #[test]
-    fn static_plane_reciprocal_matches_reference() {
-        let cfg = SsdConfig::paper_table1();
-        let geo = Geometry::new(&cfg);
-        let sets: [&[usize]; 4] = [&[0], &[5, 7], &[0, 1, 2], &[0, 1, 2, 3, 4, 5, 6, 7]];
-        let mut rng = SimRng::seed_from_u64(91);
-        for chs in sets {
-            let tenant = tenant_with_channels(chs, &cfg);
-            let reference = |lpn: u64| {
-                let nch = chs.len() as u64;
-                let dpc = geo.dies_per_channel() as u64;
-                let die_in_channel = (lpn / nch) % dpc;
-                let plane_in_die = (lpn / (nch * dpc)) % geo.planes_per_die() as u64;
-                let die = geo.die_index_of(tenant.channels.stripe(lpn), die_in_channel as usize);
-                geo.plane_index_of(die, plane_in_die as usize)
-            };
-            for lpn in 0..4096u64 {
-                assert_eq!(
-                    static_plane(&geo, &tenant, lpn),
-                    reference(lpn),
-                    "lpn {lpn}"
-                );
-            }
-            for _ in 0..4096 {
-                let lpn = rng.gen::<u64>() >> 32; // 32-bit range: fast path
-                assert_eq!(
-                    static_plane(&geo, &tenant, lpn),
-                    reference(lpn),
-                    "lpn {lpn}"
-                );
-                let big = rng.gen::<u64>() | (1 << 32); // beyond: slow path
-                assert_eq!(
-                    static_plane(&geo, &tenant, big),
-                    reference(big),
-                    "lpn {big}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -27,48 +27,6 @@ pub struct PhysAddr {
     pub page: u32,
 }
 
-/// Exact `u32` division by a runtime-chosen constant via one 64×64→128
-/// multiply (Lemire's round-up reciprocal): for `1 < d <= u32::MAX`,
-/// `magic = u64::MAX / d + 1` and `n / d == (n * magic) >> 64` for every
-/// `n < 2^32`. For powers of two `magic` degenerates to the exact shift
-/// reciprocal, so the identity holds there too; `d == 1` is branched.
-///
-/// The point: dimension arithmetic (`die_of_plane`, `unpack_page`, …) runs
-/// on the GC migration path for every moved page, and hardware 64-bit
-/// division costs ~20-40 cycles against ~3 for a high multiply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MagicU32 {
-    magic: u64,
-    d: u32,
-}
-
-impl MagicU32 {
-    pub(crate) fn new(d: usize) -> Self {
-        debug_assert!(d >= 1 && d <= u32::MAX as usize);
-        Self {
-            // Wraps to 0 for d == 1; div() never reads it on that path.
-            magic: (u64::MAX / d as u64).wrapping_add(1),
-            d: d as u32,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn div(self, n: u32) -> u32 {
-        if self.d == 1 {
-            n
-        } else {
-            ((n as u128 * self.magic as u128) >> 64) as u32
-        }
-    }
-
-    /// `(n / d, n % d)` with a single multiply-high and one multiply-back.
-    #[inline]
-    pub(crate) fn divmod(self, n: u32) -> (u32, u32) {
-        let q = self.div(n);
-        (q, n - q * self.d)
-    }
-}
-
 /// Flat-plane coordinates precomputed at construction: everything a hot
 /// path needs to turn `(plane, block, page)` into a [`PhysAddr`] or a
 /// packed page id without a single divide.
@@ -91,10 +49,6 @@ pub struct Geometry {
     planes_per_die: usize,
     blocks_per_plane: usize,
     pages_per_block: usize,
-    div_planes_per_die: MagicU32,
-    div_dies_per_channel: MagicU32,
-    div_pages_per_plane: MagicU32,
-    div_pages_per_block: MagicU32,
     coords: Vec<PlaneCoord>,
 }
 
@@ -108,10 +62,6 @@ impl Geometry {
             planes_per_die: cfg.planes_per_die,
             blocks_per_plane: cfg.blocks_per_plane,
             pages_per_block: cfg.pages_per_block,
-            div_planes_per_die: MagicU32::new(cfg.planes_per_die),
-            div_dies_per_channel: MagicU32::new(cfg.chips_per_channel * cfg.dies_per_chip),
-            div_pages_per_plane: MagicU32::new(cfg.blocks_per_plane * cfg.pages_per_block),
-            div_pages_per_block: MagicU32::new(cfg.pages_per_block),
             coords: Vec::new(),
         };
         debug_assert!(
@@ -216,7 +166,7 @@ impl Geometry {
 
     /// Channel that owns a flat die index.
     pub fn channel_of_die(&self, die: usize) -> usize {
-        self.div_dies_per_channel.div(die as u32) as usize
+        die / self.dies_per_channel()
     }
 
     /// Flat plane index of an address.
@@ -232,7 +182,7 @@ impl Geometry {
 
     /// Die that owns a flat plane index.
     pub fn die_of_plane(&self, plane: usize) -> usize {
-        self.div_planes_per_die.div(plane as u32) as usize
+        plane / self.planes_per_die
     }
 
     /// Channel that owns a flat plane index.
@@ -264,13 +214,17 @@ impl Geometry {
         self.coords[plane].page_base + block * self.pages_per_block as u32 + page
     }
 
-    /// Splits a packed page id into `(flat plane, block, page)` with two
-    /// reciprocal multiplies — the divide-free core of [`Self::unpack_page`].
+    /// Splits a packed page id into `(flat plane, block, page)` — the
+    /// inverse of [`Self::packed_at`].
     #[inline]
     pub fn split_packed(&self, packed: u32) -> (usize, u32, u32) {
-        let (plane, within) = self.div_pages_per_plane.divmod(packed);
-        let (block, page) = self.div_pages_per_block.divmod(within);
-        (plane as usize, block, page)
+        let packed = packed as usize;
+        let within = packed % self.pages_per_plane();
+        (
+            packed / self.pages_per_plane(),
+            (within / self.pages_per_block) as u32,
+            (within % self.pages_per_block) as u32,
+        )
     }
 
     /// Packs a physical page into a dense `u32` page id
@@ -289,14 +243,6 @@ impl Geometry {
     pub fn unpack_page(&self, packed: u32) -> PhysAddr {
         let (plane, block, page) = self.split_packed(packed);
         self.addr_at(plane, block, page)
-    }
-
-    /// Reciprocal dividers for `(dies_per_channel, planes_per_die)`,
-    /// consumed by the static-allocation stripe math so the per-page
-    /// admit path never issues a hardware divide.
-    #[inline]
-    pub(crate) fn stripe_divs(&self) -> (MagicU32, MagicU32) {
-        (self.div_dies_per_channel, self.div_planes_per_die)
     }
 
     /// Iterator over the flat die indices belonging to `channel`.
@@ -422,53 +368,6 @@ mod tests {
                 page: rng.gen_range(0u32..8),
             };
             assert_eq!(g.pack_page(&a) == g.pack_page(&b), a == b);
-        }
-    }
-
-    /// The reciprocal divider must agree with hardware division for every
-    /// divisor shape the geometry can produce (1, powers of two, odd
-    /// composites, huge) across boundary and random numerators.
-    #[test]
-    fn magic_division_matches_hardware_division() {
-        let divisors = [
-            1usize,
-            2,
-            3,
-            4,
-            5,
-            6,
-            7,
-            8,
-            12,
-            16,
-            24,
-            100,
-            128,
-            4096 * 128,
-            33_554_432,
-            u32::MAX as usize,
-        ];
-        let mut rng = SimRng::seed_from_u64(77);
-        for &d in &divisors {
-            let m = MagicU32::new(d);
-            let d32 = d as u32;
-            let check = |n: u32| {
-                assert_eq!(m.div(n), n / d32, "div {n} / {d}");
-                assert_eq!(m.divmod(n), (n / d32, n % d32), "divmod {n} / {d}");
-            };
-            for n in 0..1024u32 {
-                check(n);
-            }
-            for k in 0..64u32 {
-                check(u32::MAX - k);
-                let mult = d32.wrapping_mul(k);
-                check(mult);
-                check(mult.wrapping_sub(1));
-                check(mult.wrapping_add(1));
-            }
-            for _ in 0..4096 {
-                check(rng.gen());
-            }
         }
     }
 

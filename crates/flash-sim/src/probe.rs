@@ -688,6 +688,10 @@ fn payload_bytes(kind: u8) -> Result<usize, ProbeCodecError> {
     })
 }
 
+/// Smallest encoded record: one kind byte plus the shortest payload
+/// (kind 5, 20 bytes).
+const MIN_RECORD_BYTES: usize = 1 + 20;
+
 /// Deserializes an SSDP v1 stream back into `(events, dropped)`.
 pub fn decode_events(buf: &[u8]) -> Result<(Vec<ProbeEvent>, u64), ProbeCodecError> {
     let mut r = Reader::new(buf);
@@ -707,7 +711,10 @@ pub fn decode_events(buf: &[u8]) -> Result<(Vec<ProbeEvent>, u64), ProbeCodecErr
     }
     let count = r.u64();
     let dropped = r.u64();
-    let mut out = Vec::with_capacity(count.min(1 << 20) as usize);
+    // Reserve no more records than the bytes present could hold, so a
+    // corrupt count cannot drive a huge allocation before `Truncated`.
+    let fit = (r.remaining() / MIN_RECORD_BYTES) as u64;
+    let mut out = Vec::with_capacity(count.min(fit).min(1 << 20) as usize);
     for i in 0..count {
         let truncated = ProbeCodecError::Truncated {
             expected: count,

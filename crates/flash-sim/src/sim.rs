@@ -634,13 +634,8 @@ impl<P: Probe> SimBuilder<P> {
             b.reset();
         }
         buses.resize_with(geo.channels(), BusSched::default);
-        let events = match p.events.take() {
-            Some(mut e) => {
-                e.reset();
-                e
-            }
-            None => EventQueue::default(),
-        };
+        let mut events = std::mem::take(&mut p.events);
+        events.reset();
         let mut cmds = std::mem::take(&mut p.cmds);
         cmds.reset();
         let mut reqs = std::mem::take(&mut p.reqs);
@@ -715,7 +710,7 @@ impl<P: Probe> SimBuilder<P> {
 /// Recyclable allocation pool for repeated [`Simulator`] runs.
 ///
 /// A build from a fresh arena allocates the FTL mapping tables, the
-/// command arena, the timer wheel, and every queue from scratch; a build
+/// command arena, the event queue, and every queue from scratch; a build
 /// from a used one resets the buffers [`Simulator::run_reclaim`] handed
 /// back in place, so a warm
 /// build + run performs zero heap allocations when the device shape is
@@ -758,10 +753,7 @@ struct ArenaParts {
     ftl: Option<Ftl>,
     units: Vec<DieSched>,
     buses: Vec<BusSched>,
-    // Behind Option so taking it out leaves `None` rather than a default
-    // queue — `EventQueue::default()` heap-allocates its wheel head/tail
-    // arrays, which would break the zero-warm-allocation contract.
-    events: Option<EventQueue>,
+    events: EventQueue,
     cmds: CmdArena,
     reqs: Vec<ReqState>,
     realloc: Vec<Reallocation>,
@@ -825,7 +817,7 @@ impl SimArena {
         self.parts.ftl = Some(ftl);
         self.parts.units = units;
         self.parts.buses = buses;
-        self.parts.events = Some(events);
+        self.parts.events = events;
         self.parts.cmds = cmds;
         self.parts.reqs = reqs;
         self.parts.realloc = realloc;
@@ -918,12 +910,12 @@ impl<P: Probe> Simulator<P> {
         self.next_realloc_at = self.realloc.first().map_or(u64::MAX, |r| r.at_ns);
 
         // Arrivals are never heaped: the validated-sorted trace is its own
-        // queue, and a cursor over it merges against the wheel at pop time,
-        // keeping the pending set at O(in-flight) instead of O(trace).
+        // queue, and a cursor over it merges against the event queue at pop
+        // time, keeping the pending set at O(in-flight) instead of O(trace).
         // Arrivals win time ties (`pop_before` is exclusive) and order among
-        // themselves by trace index — exactly the order their up-front
-        // sequence numbers 0..n-1 produced in the heap-based engine, where
-        // every dynamic event's seq was >= n.
+        // themselves by trace index — exactly the order up-front sequence
+        // numbers 0..n-1 would give them if every arrival were heaped
+        // before any dynamic event (whose seq would then be >= n).
         let mut next_arrival: usize = 0;
         // Host-side telemetry tallies, kept in locals and flushed to the
         // obs registry after the loop (plus a periodic flush so a live
@@ -931,25 +923,17 @@ impl<P: Probe> Simulator<P> {
         // compile-time `obs::ENABLED` const, so the disabled build is
         // bit-for-bit the uninstrumented loop.
         obs::span!("sim_run");
-        let mut tel_wheel_pops: u64 = 0;
-        let mut tel_wheel_advances: u64 = 0;
         let mut tel_arrivals: u64 = 0;
         loop {
             let (time, kind) = if next_arrival < trace.len() {
                 let at = trace[next_arrival].arrival_ns;
                 match self.events.pop_before(at) {
-                    Some(ev) => {
-                        if obs::ENABLED {
-                            tel_wheel_pops += 1;
-                        }
-                        (ev.time, ev.kind)
-                    }
+                    Some(ev) => (ev.time, ev.kind),
                     None => {
                         self.events.advance_to(at);
                         let r = next_arrival as ReqId;
                         next_arrival += 1;
                         if obs::ENABLED {
-                            tel_wheel_advances += 1;
                             tel_arrivals += 1;
                         }
                         (at, EventKind::Arrive(r))
@@ -957,12 +941,7 @@ impl<P: Probe> Simulator<P> {
                 }
             } else {
                 match self.events.pop() {
-                    Some(ev) => {
-                        if obs::ENABLED {
-                            tel_wheel_pops += 1;
-                        }
-                        (ev.time, ev.kind)
-                    }
+                    Some(ev) => (ev.time, ev.kind),
                     None => break,
                 }
             };
@@ -995,8 +974,6 @@ impl<P: Probe> Simulator<P> {
 
         if obs::ENABLED {
             obs::counter_add!("sim.events", self.events_processed & 0xFFFF);
-            obs::counter_add!("sim.wheel_pops", tel_wheel_pops);
-            obs::counter_add!("sim.wheel_advances", tel_wheel_advances);
             obs::counter_add!("sim.arrivals", tel_arrivals);
             obs::counter_add!("sim.runs", 1u64);
         }

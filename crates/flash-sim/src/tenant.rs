@@ -8,16 +8,11 @@
 
 use crate::config::SsdConfig;
 use crate::ftl::alloc::PageAllocPolicy;
-use crate::geometry::MagicU32;
 
 /// An ordered set of channel indices a tenant may write to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelSet {
     channels: Vec<u16>,
-    /// Reciprocal divider for `channels.len()`, kept in sync by the
-    /// constructors: static allocation divides by the set size once per
-    /// written page, and a multiply-high beats a 64-bit divide there.
-    div_len: MagicU32,
 }
 
 impl ChannelSet {
@@ -40,17 +35,13 @@ impl ChannelSet {
                 out.push(c as u16);
             }
         }
-        Some(Self {
-            div_len: MagicU32::new(out.len()),
-            channels: out,
-        })
+        Some(Self { channels: out })
     }
 
     /// Every channel in the device.
     pub fn all(total_channels: usize) -> Self {
         Self {
             channels: (0..total_channels as u16).collect(),
-            div_len: MagicU32::new(total_channels.max(1)),
         }
     }
 
@@ -72,12 +63,6 @@ impl ChannelSet {
     /// Channel used by static allocation for stripe position `i`.
     pub fn stripe(&self, i: u64) -> usize {
         self.channels[(i % self.channels.len() as u64) as usize] as usize
-    }
-
-    /// The reciprocal divider for [`Self::len`].
-    #[inline]
-    pub(crate) fn div_len(&self) -> MagicU32 {
-        self.div_len
     }
 
     /// Whether `channel` is in the set.

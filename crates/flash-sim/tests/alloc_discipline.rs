@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use flash_sim::probe::{CmdComplete, Probe};
+use flash_sim::probe::{decode_events, encode_events, CmdComplete, Probe, ProbeCodecError};
 use flash_sim::{IoRequest, Op, SimArena, SimBuilder, SsdConfig, TenantLayout};
 
 struct CountingAlloc;
@@ -18,16 +18,18 @@ struct CountingAlloc;
 thread_local! {
     static TRACK: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static MAX_REQUEST: Cell<usize> = const { Cell::new(0) };
     static IN_HOOK: Cell<bool> = const { Cell::new(false) };
 }
 
-fn note_alloc() {
+fn note_alloc(size: usize) {
     // `try_with` so allocation during TLS teardown can't panic the
     // allocator; an untracked thread just skips the count. IN_HOOK
     // guards against recursion from the debug backtrace itself.
     let _ = TRACK.try_with(|t| {
         if t.get() && !IN_HOOK.with(|g| g.get()) {
             let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            let _ = MAX_REQUEST.try_with(|m| m.set(m.get().max(size)));
             IN_HOOK.with(|g| g.set(true));
             if std::env::var_os("ALLOC_DEBUG").is_some() {
                 eprintln!("{}", std::backtrace::Backtrace::force_capture());
@@ -39,15 +41,15 @@ fn note_alloc() {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -61,11 +63,18 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs `f` with allocation tracking on, returning its result and the
 /// number of heap allocations (alloc/alloc_zeroed/realloc) it performed.
 fn tracked<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (r, allocs, _) = tracked_with_max(f);
+    (r, allocs)
+}
+
+/// [`tracked`], plus the largest single request in bytes.
+fn tracked_with_max<R>(f: impl FnOnce() -> R) -> (R, u64, usize) {
     ALLOCS.with(|c| c.set(0));
+    MAX_REQUEST.with(|m| m.set(0));
     TRACK.with(|t| t.set(true));
     let r = f();
     TRACK.with(|t| t.set(false));
-    (r, ALLOCS.with(|c| c.get()))
+    (r, ALLOCS.with(|c| c.get()), MAX_REQUEST.with(|m| m.get()))
 }
 
 fn small_cfg() -> SsdConfig {
@@ -179,5 +188,23 @@ fn steady_state_event_loop_performs_zero_heap_allocations() {
         window.tracked_allocs,
         Some(0),
         "steady-state event loop (50%..90% of completions) must not allocate"
+    );
+}
+
+/// A bare SSDP header whose event count claims 2^40 records must fail
+/// with `Truncated` without first reserving room for those records: the
+/// up-front reservation is bounded by the bytes actually present.
+#[test]
+fn corrupt_event_count_does_not_drive_the_reservation() {
+    let mut bytes = encode_events([], 0);
+    bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let (result, _, max_request) = tracked_with_max(|| decode_events(&bytes));
+    assert!(
+        matches!(result, Err(ProbeCodecError::Truncated { .. })),
+        "got {result:?}"
+    );
+    assert!(
+        max_request <= 4096,
+        "decoding a 24-byte header requested {max_request} bytes at once"
     );
 }

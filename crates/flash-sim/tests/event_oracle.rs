@@ -1,22 +1,17 @@
-//! Oracle equivalence for the timer-wheel event core.
+//! Oracle for the engine's arrival-cursor merge.
 //!
-//! The engine's correctness argument leans on [`EventQueue`] serving
-//! events in exactly the `(time, seq)` order a binary heap would — the
-//! golden captures pin whole-simulation behaviour, and these tests pin
-//! the queue itself. A reference model (a plain `BinaryHeap` over the
-//! same `(time, seq)` order, the structure the wheel replaced) runs the
-//! same seeded randomized operation interleavings side by side with the
-//! wheel, and every observable — popped events, peeked times, lengths —
-//! must agree, including same-tick bursts, per-level delta magnitudes,
-//! and times at the far horizon (overflow list, `u64::MAX`).
+//! The simulator never heaps trace arrivals: it serves them from a cursor
+//! over the sorted trace, merged against the [`EventQueue`] with
+//! `pop_before` + `advance_to`. These tests pin that merge against a
+//! reference that heaps every arrival up front — the golden captures pin
+//! whole-simulation behaviour, and this pins the merge rule itself.
 
 use flash_sim::event::{Event, EventKind, EventQueue};
 use simrng::{Rng, SimRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The structure the wheel replaced: a min-heap over `(time, seq)` with
-/// the same push-side sequence numbering.
+/// A plain min-heap over `(time, seq)` with push-side sequence numbering.
 #[derive(Default)]
 struct OracleHeap {
     heap: BinaryHeap<Reverse<Event>>,
@@ -32,161 +27,6 @@ impl OracleHeap {
 
     fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    fn pop_before(&mut self, limit: u64) -> Option<Event> {
-        if self.heap.peek().is_some_and(|Reverse(e)| e.time < limit) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// A time delta spanning every placement class the wheel distinguishes:
-/// same tick, within the level-0 slot, each higher level's magnitude,
-/// beyond the 48-bit horizon (overflow list), and saturation at
-/// `u64::MAX`.
-fn random_delta(rng: &mut SimRng) -> u64 {
-    match rng.gen_range(0u32..12) {
-        0 | 1 => 0,
-        2 => rng.gen_range(1u64..64),
-        3 => rng.gen_range(64u64..4096),
-        4 => rng.gen_range(4096u64..262_144),
-        5 => rng.gen_range(1u64 << 18..1 << 24),
-        6 => rng.gen_range(1u64 << 24..1 << 30),
-        7 => rng.gen_range(1u64 << 30..1 << 42),
-        8 => rng.gen_range(1u64 << 42..1 << 48),
-        9 => rng.gen_range(1u64 << 48..1 << 52),
-        10 => rng.gen_range(1u64 << 52..1 << 60),
-        _ => u64::MAX,
-    }
-}
-
-fn random_kind(rng: &mut SimRng) -> EventKind {
-    let id = rng.gen_range(0u32..1024);
-    match rng.gen_range(0u32..4) {
-        0 => EventKind::Arrive(id),
-        1 => EventKind::Admit(id),
-        2 => EventKind::DieOpDone(id),
-        _ => EventKind::BusDone(id),
-    }
-}
-
-/// Randomized push/pop/pop_before/peek interleavings: every observable of
-/// the wheel must equal the reference heap's, then a full drain must
-/// produce identical sequences. Pushes respect the discrete-event
-/// contract (never before the last served time), exactly as the engine's
-/// do.
-#[test]
-fn random_interleavings_match_reference_heap() {
-    for seed in 0..64u64 {
-        let mut rng = SimRng::seed_from_u64(0xE0 + seed);
-        let mut wheel = EventQueue::new();
-        let mut heap = OracleHeap::default();
-        // Lower bound for new event times: the last served time or
-        // `advance_to` target, per the discrete-event contract.
-        let mut lower = 0u64;
-        for _ in 0..2000 {
-            match rng.gen_range(0u32..10) {
-                0..=4 => {
-                    let time = lower.saturating_add(random_delta(&mut rng));
-                    let kind = random_kind(&mut rng);
-                    wheel.push(time, kind);
-                    heap.push(time, kind);
-                }
-                5 | 6 => {
-                    let got = wheel.pop();
-                    assert_eq!(got, heap.pop(), "pop diverged (seed {seed})");
-                    if let Some(ev) = got {
-                        lower = ev.time;
-                    }
-                }
-                7 | 8 => {
-                    let limit = lower.saturating_add(random_delta(&mut rng));
-                    let got = wheel.pop_before(limit);
-                    assert_eq!(
-                        got,
-                        heap.pop_before(limit),
-                        "pop_before({limit}) diverged (seed {seed})"
-                    );
-                    match got {
-                        Some(ev) => lower = ev.time,
-                        None => {
-                            // Nothing pending before `limit`: the engine
-                            // would advance the cursor and schedule there.
-                            wheel.advance_to(limit);
-                            lower = lower.max(limit);
-                        }
-                    }
-                }
-                _ => {
-                    assert_eq!(
-                        wheel.peek_time(),
-                        heap.peek_time(),
-                        "peek diverged (seed {seed})"
-                    );
-                    assert_eq!(wheel.len(), heap.len(), "len diverged (seed {seed})");
-                    assert_eq!(wheel.is_empty(), heap.len() == 0, "seed {seed}");
-                }
-            }
-        }
-        loop {
-            let got = wheel.pop();
-            assert_eq!(got, heap.pop(), "drain diverged (seed {seed})");
-            if got.is_none() {
-                break;
-            }
-        }
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.len(), 0);
-    }
-}
-
-/// Bursts of events pushed at identical times must pop in push (seq)
-/// order — the FIFO property the per-slot intrusive lists and the ready
-/// buffer's seq sort provide — interleaved correctly across a handful of
-/// distinct tick values.
-#[test]
-fn same_tick_bursts_pop_in_push_order() {
-    for seed in 0..32u64 {
-        let mut rng = SimRng::seed_from_u64(0xB0 + seed);
-        let mut wheel = EventQueue::new();
-        let mut heap = OracleHeap::default();
-        // A few distinct times, one of them possibly at the far horizon;
-        // pushes hop between them so same-time events get non-adjacent
-        // sequence numbers.
-        let mut times: Vec<u64> = (0..rng.gen_range(2u64..6))
-            .map(|_| random_delta(&mut rng))
-            .collect();
-        times.push(0); // always exercise the cursor's own tick
-        for _ in 0..rng.gen_range(64usize..256) {
-            let t = times[rng.gen_range(0usize..times.len())];
-            let kind = random_kind(&mut rng);
-            wheel.push(t, kind);
-            heap.push(t, kind);
-        }
-        let mut prev: Option<Event> = None;
-        loop {
-            let got = wheel.pop();
-            assert_eq!(got, heap.pop(), "seed {seed}");
-            let Some(ev) = got else { break };
-            if let Some(p) = prev {
-                assert!(
-                    (p.time, p.seq) < (ev.time, ev.seq),
-                    "served out of (time, seq) order (seed {seed})"
-                );
-            }
-            prev = Some(ev);
-        }
     }
 }
 
@@ -244,31 +84,31 @@ fn arrival_cursor_merge_matches_heaped_arrivals() {
             }
         }
 
-        // Wheel: arrivals merged at pop time via the cursor.
-        let mut wheel = EventQueue::new();
+        // Engine shape: arrivals merged at pop time via the cursor.
+        let mut queue = EventQueue::new();
         let mut cursor = 0usize;
         let mut got = Vec::new();
         loop {
             let (time, kind) = if cursor < arrivals.len() {
                 let at = arrivals[cursor];
-                match wheel.pop_before(at) {
+                match queue.pop_before(at) {
                     Some(ev) => (ev.time, ev.kind),
                     None => {
-                        wheel.advance_to(at);
+                        queue.advance_to(at);
                         let r = cursor as u32;
                         cursor += 1;
                         (at, EventKind::Arrive(r))
                     }
                 }
             } else {
-                match wheel.pop() {
+                match queue.pop() {
                     Some(ev) => (ev.time, ev.kind),
                     None => break,
                 }
             };
             got.push((time, kind));
             for (ft, fk) in followups(time, kind) {
-                wheel.push(ft, fk);
+                queue.push(ft, fk);
             }
         }
 

@@ -10,7 +10,6 @@
 
 use crate::allocator::{ChannelAllocator, DecisionScratch};
 use crate::features::{FeatureVector, TENANTS};
-use crate::hybrid;
 use crate::strategy::Strategy;
 use flash_sim::metrics::{MetricsProbe, MetricsSummary};
 use flash_sim::probe::{
@@ -366,19 +365,8 @@ impl Keeper {
         let tenants = lpn_spaces.len();
         let obs = ObservedFeatures::collect(trace, tenants, self.config.observe_window_ns);
         let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
-        let lists = strategy.assign_channels(&rw_chars, &self.config.ssd);
-        let mut layout =
-            TenantLayout::from_channel_lists(&lists, &self.config.ssd).ok_or_else(|| {
-                KeeperError::Sim(SimError::BadLayout {
-                    reason: format!(
-                        "strategy {strategy:?} produced invalid channel lists {lists:?}"
-                    ),
-                })
-            })?;
-        let policies = hybrid::policies(&rw_chars, self.config.hybrid);
-        for (t, &space) in lpn_spaces.iter().enumerate() {
-            layout = layout.with_lpn_space(t, space).with_policy(t, policies[t]);
-        }
+        let layout =
+            strategy.layout(&rw_chars, lpn_spaces, &self.config.ssd, self.config.hybrid)?;
         let report = self.execute(backend, layout, Vec::new(), trace, probe, arena)?;
         Ok(RunOutcome {
             report,
@@ -411,22 +399,10 @@ impl Keeper {
         let strategy = self.allocator.predict(&features);
         probe.on_keeper_decision(&self.decision_event(t_ns, &features, strategy));
         let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
-        let lists = strategy.assign_channels(&rw_chars, &self.config.ssd);
+        let realloc = strategy.reallocation(t_ns, &rw_chars, &self.config.ssd, self.config.hybrid);
 
         // --- Phase 1 layout: Shared, static allocation. ---
-        let mut layout = TenantLayout::shared(tenants, &self.config.ssd);
-        for (t, &space) in lpn_spaces.iter().enumerate() {
-            layout = layout.with_lpn_space(t, space);
-        }
-
-        let policies = hybrid::policies(&rw_chars, self.config.hybrid);
-        let realloc = Reallocation::new(
-            t_ns,
-            lists
-                .into_iter()
-                .enumerate()
-                .map(|(t, channels)| (t, channels, Some(policies[t]))),
-        );
+        let layout = shared_layout(lpn_spaces, &self.config.ssd);
         let report = self.execute(backend, layout, vec![realloc], trace, probe, arena)?;
         let decisions = vec![Decision {
             at_ns: t_ns,
@@ -465,10 +441,7 @@ impl Keeper {
         let horizon = trace.last().map(|r| r.arrival_ns).unwrap_or(0);
         let scale = IntensityScale::new(self.allocator.max_total_iops() * (t_ns as f64 / 1e9));
 
-        let mut layout = TenantLayout::shared(tenants, &self.config.ssd);
-        for (t, &space) in lpn_spaces.iter().enumerate() {
-            layout = layout.with_lpn_space(t, space);
-        }
+        let layout = shared_layout(lpn_spaces, &self.config.ssd);
 
         // Decide every window first (decision events fire here, before any
         // engine event), then hand the probe to the simulator for the run.
@@ -510,14 +483,11 @@ impl Keeper {
         {
             if current != Some(strategy) {
                 let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
-                let lists = strategy.assign_channels(&rw_chars, &self.config.ssd);
-                let policies = hybrid::policies(&rw_chars, self.config.hybrid);
-                reallocations.push(Reallocation::new(
+                reallocations.push(strategy.reallocation(
                     boundary,
-                    lists
-                        .into_iter()
-                        .enumerate()
-                        .map(|(t, channels)| (t, channels, Some(policies[t]))),
+                    &rw_chars,
+                    &self.config.ssd,
+                    self.config.hybrid,
                 ));
                 probe.on_keeper_decision(&self.decision_event(boundary, features, strategy));
                 decisions.push(Decision {
@@ -539,6 +509,17 @@ impl Keeper {
             metrics: None,
         })
     }
+}
+
+/// Every tenant striping over all channels with static allocation (the
+/// observation phase of the adaptive modes), each bounded to its
+/// logical space.
+fn shared_layout(lpn_spaces: &[u64], cfg: &SsdConfig) -> TenantLayout {
+    let mut layout = TenantLayout::shared(lpn_spaces.len(), cfg);
+    for (t, &space) in lpn_spaces.iter().enumerate() {
+        layout = layout.with_lpn_space(t, space);
+    }
+    layout
 }
 
 #[cfg(test)]

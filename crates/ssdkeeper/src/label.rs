@@ -6,9 +6,8 @@
 //! per-strategy runs are independent, so they fan out over
 //! [`parallel::par_map`].
 
-use crate::hybrid;
 use crate::strategy::Strategy;
-use flash_sim::{IoRequest, SimArena, SimBuilder, SimError, SimReport, SsdConfig, TenantLayout};
+use flash_sim::{IoRequest, SimArena, SimBuilder, SimError, SimReport, SsdConfig};
 use parallel::PoolConfig;
 use workloads::ObservedFeatures;
 
@@ -85,15 +84,7 @@ pub fn run_under_strategy(
         lpn_spaces.len(),
         "one char and space per tenant"
     );
-    let lists = strategy.assign_channels(rw_chars, &eval.ssd);
-    let mut layout =
-        TenantLayout::from_channel_lists(&lists, &eval.ssd).ok_or_else(|| SimError::BadLayout {
-            reason: format!("strategy {strategy:?} produced invalid channel lists {lists:?}"),
-        })?;
-    let policies = hybrid::policies(rw_chars, eval.hybrid);
-    for (t, (&space, &policy)) in lpn_spaces.iter().zip(policies.iter()).enumerate() {
-        layout = layout.with_lpn_space(t, space).with_policy(t, policy);
-    }
+    let layout = strategy.layout(rw_chars, lpn_spaces, &eval.ssd, eval.hybrid)?;
     SimBuilder::new(eval.ssd.clone(), layout)
         .build_with_arena(arena)?
         .run_reclaim(trace, arena)

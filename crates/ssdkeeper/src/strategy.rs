@@ -16,7 +16,8 @@
 //! the channel count of the write-dominated group, as in the paper's
 //! notation.
 
-use flash_sim::SsdConfig;
+use flash_sim::sim::Reallocation;
+use flash_sim::{SimError, SsdConfig, TenantLayout};
 
 /// One channel-allocation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,6 +150,50 @@ impl Strategy {
                 out
             }
         }
+    }
+
+    /// The layout that runs this strategy from `t = 0`: channel sets from
+    /// [`Self::assign_channels`], page-allocation policies from
+    /// [`crate::hybrid::policies`] (static for all when `hybrid` is off),
+    /// and each tenant's logical space from `lpn_spaces`.
+    pub(crate) fn layout(
+        &self,
+        rw_chars: &[u8],
+        lpn_spaces: &[u64],
+        cfg: &SsdConfig,
+        hybrid: bool,
+    ) -> Result<TenantLayout, SimError> {
+        let lists = self.assign_channels(rw_chars, cfg);
+        let mut layout =
+            TenantLayout::from_channel_lists(&lists, cfg).ok_or_else(|| SimError::BadLayout {
+                reason: format!("strategy {self:?} produced invalid channel lists {lists:?}"),
+            })?;
+        let policies = crate::hybrid::policies(rw_chars, hybrid);
+        for (t, (&space, &policy)) in lpn_spaces.iter().zip(&policies).enumerate() {
+            layout = layout.with_lpn_space(t, space).with_policy(t, policy);
+        }
+        Ok(layout)
+    }
+
+    /// A mid-run switch to this strategy at `at_ns`: every tenant's new
+    /// channel set and page-allocation policy.
+    pub(crate) fn reallocation(
+        &self,
+        at_ns: u64,
+        rw_chars: &[u8],
+        cfg: &SsdConfig,
+        hybrid: bool,
+    ) -> Reallocation {
+        let policies = crate::hybrid::policies(rw_chars, hybrid);
+        let rows = self
+            .assign_channels(rw_chars, cfg)
+            .into_iter()
+            .zip(policies);
+        Reallocation::new(
+            at_ns,
+            rows.enumerate()
+                .map(|(t, (channels, policy))| (t, channels, Some(policy))),
+        )
     }
 
     /// Canonical grouped label used by the Figure 6 analysis: four-part

@@ -39,12 +39,13 @@ cargo test -q --offline -p flash-sim --test alloc_discipline
 echo "==> warm-reset equivalence suite (arena_reuse)"
 cargo test -q --offline -p flash-sim --test arena_reuse
 
-# Event-core oracle gate: the timer-wheel EventQueue must serve the exact
-# (time, seq) sequence a reference binary heap serves over seeded random
-# interleavings — same-tick bursts, horizon overflow, and the engine's
-# arrival-cursor merge pattern included. Runs as part of the workspace
-# tests above too; kept explicit so a failure names the equivalence suite.
-echo "==> event-core oracle equivalence suite"
+# Arrival-cursor merge gate: serving sorted trace arrivals from a cursor
+# merged against the event queue (pop_before + advance_to) must produce
+# the exact (time, kind) sequence of a reference that heaps every arrival
+# up front — same-tick ties included, where arrivals win and keep trace
+# order. Runs as part of the workspace tests above too; kept explicit so
+# a failure names the merge rule.
+echo "==> arrival-cursor merge rule (event_oracle)"
 cargo test -q --offline -p flash-sim --test event_oracle
 
 if cargo fmt --version >/dev/null 2>&1; then
