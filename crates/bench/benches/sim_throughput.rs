@@ -1,6 +1,6 @@
 //! Simulator throughput in events per second — the tracked perf gate.
 //!
-//! Three workloads exercise the event core from different directions:
+//! Four workloads exercise the event core from different directions:
 //!
 //! * `sim_micro` — the original gate: a preconditioned device in GC
 //!   steady state (the regime every real SSD spends its life in), a 3:1
@@ -14,6 +14,12 @@
 //!   the paper's channels: shallow per-die queues, high channel
 //!   parallelism, and short service times make this the regime with the
 //!   highest event rate per unit of simulated time.
+//! * `deep_queue` — the saturation the online keeper's Figure 5 runs
+//!   reach: four tenants on the sweep geometry with an unbounded host
+//!   queue and arrivals an order of magnitude beyond what the buses
+//!   serve, so units hold hundreds of waiting commands (mean backlog
+//!   ≥ 500). This is the regime where each waiting command's record
+//!   rides in its unit queue instead of a per-command table.
 //!
 //! Device construction and preconditioning happen outside the timed
 //! region; the measurement covers exactly `Simulator::run_reclaim`, i.e. the
@@ -31,10 +37,11 @@
 //! median run's [`flash_sim::PhaseReport`] — mean plus p50/p99 from the
 //! log₂ histograms, which `ssdtrace diff` compares across commits.
 //!
-//! The host queue is bounded (`host_queue_depth: 64`) on every workload:
-//! with an unbounded queue the whole trace is admitted at once and the
-//! per-phase numbers measure the standing backlog instead of device
-//! behavior (see the PR 4 note in DESIGN.md).
+//! The host queue is bounded (`host_queue_depth: 64`) on every workload
+//! but `deep_queue`: with an unbounded queue the whole trace is admitted
+//! at once and the per-phase numbers measure the standing backlog instead
+//! of device behavior (see the PR 4 note in DESIGN.md). `deep_queue`
+//! measures exactly that backlog on purpose.
 //!
 //! `SSDKEEPER_BENCH_PROBE=1` additionally measures `sim_micro` with a
 //! bounded [`flash_sim::EventRecorder`] attached and prints the probe
@@ -60,6 +67,9 @@ struct Workload {
     name: &'static str,
     geometry: &'static str,
     cfg: SsdConfig,
+    /// Tenants sharing every channel; the trace deals requests out
+    /// round-robin.
+    tenants: usize,
     lpn_space: u64,
     trace: Vec<IoRequest>,
 }
@@ -94,6 +104,7 @@ fn sim_micro() -> Workload {
         name: "sim_micro",
         geometry: "4ch x 1chip x 1die x 1plane, 2048 blocks x 16 pages, qd 64",
         cfg,
+        tenants: 1,
         lpn_space: 54_400,
         trace,
     }
@@ -129,6 +140,7 @@ fn gc_heavy() -> Workload {
         name: "gc_heavy",
         geometry: "2ch x 1chip x 1die x 1plane, 2048 blocks x 16 pages, qd 64",
         cfg,
+        tenants: 1,
         lpn_space: 27_200,
         trace,
     }
@@ -164,7 +176,36 @@ fn read_mostly_8ch() -> Workload {
         name: "read_mostly_8ch",
         geometry: "8ch x 1chip x 1die x 1plane, 512 blocks x 16 pages, qd 64",
         cfg,
+        tenants: 1,
         lpn_space: SPAN,
+        trace,
+    }
+}
+
+/// Keeper-online saturation: the Figure 5 device (`scaled_for_sweeps`,
+/// 64 plane units behind 8 buses at 200 MB/s, ~100k pages/s) fed 1:1
+/// read:write requests of 1-4 pages from four tenants every 2 µs
+/// (~1.25M pages/s offered) with no host queue bound, so the backlog
+/// builds the whole run the way `keeper_online`'s Mix traces do.
+fn deep_queue() -> Workload {
+    const REQUESTS: u64 = 40_000;
+    const TENANTS: u64 = 4;
+    const LPNS: u64 = 4_096;
+    let cfg = SsdConfig::scaled_for_sweeps();
+    let trace = (0..REQUESTS)
+        .map(|i| {
+            let op = if i % 2 == 0 { Op::Write } else { Op::Read };
+            let lpn = (i * 131) % LPNS;
+            let pages = 1 + ((i / TENANTS) % 4) as u32;
+            IoRequest::new(i, (i % TENANTS) as u16, op, lpn, pages, i * 2_000)
+        })
+        .collect();
+    Workload {
+        name: "deep_queue",
+        geometry: "8ch x 2chip x 1die x 4plane, 256 blocks x 128 pages, 4 tenants, qd unbounded",
+        cfg,
+        tenants: TENANTS as usize,
+        lpn_space: LPNS,
         trace,
     }
 }
@@ -200,6 +241,7 @@ fn warm_rerun_workload() -> Workload {
         name: "warm_rerun",
         geometry: "4ch x 1chip x 1die x 1plane, 2048 blocks x 16 pages, qd 64",
         cfg,
+        tenants: 1,
         lpn_space: 54_400,
         trace,
     }
@@ -213,7 +255,7 @@ struct RunSample {
 }
 
 fn run_once(w: &Workload) -> RunSample {
-    let layout = TenantLayout::shared(1, &w.cfg).with_lpn_space_all(w.lpn_space);
+    let layout = TenantLayout::shared(w.tenants, &w.cfg).with_lpn_space_all(w.lpn_space);
     let mut arena = SimArena::new();
     let sim = SimBuilder::new(w.cfg.clone(), layout)
         .precondition(&[1.0])
@@ -236,7 +278,7 @@ fn run_once(w: &Workload) -> RunSample {
 /// The same workload with a bounded recorder attached — the probed path
 /// whose overhead the ≤2 % discipline bounds.
 fn run_once_recorded(w: &Workload) -> RunSample {
-    let layout = TenantLayout::shared(1, &w.cfg).with_lpn_space_all(w.lpn_space);
+    let layout = TenantLayout::shared(w.tenants, &w.cfg).with_lpn_space_all(w.lpn_space);
     let mut rec = EventRecorder::with_capacity(1 << 16);
     let mut arena = SimArena::new();
     let sim = SimBuilder::new(w.cfg.clone(), layout)
@@ -301,7 +343,7 @@ struct RerunResult {
 /// `recycle_report` loop the label farm and keeper run). The timed
 /// region is identical apart from the arena.
 fn measure_warm_rerun(w: &Workload, iters: usize, warmup: usize) -> RerunResult {
-    let layout = TenantLayout::shared(1, &w.cfg).with_lpn_space_all(w.lpn_space);
+    let layout = TenantLayout::shared(w.tenants, &w.cfg).with_lpn_space_all(w.lpn_space);
 
     let cold_once = || {
         let start = Instant::now();
@@ -368,7 +410,7 @@ fn main() {
     }
     let iters = env_usize("SSDKEEPER_BENCH_ITERS", 10).max(1);
     let warmup = env_usize("SSDKEEPER_BENCH_WARMUP", 2);
-    let workloads = [sim_micro(), gc_heavy(), read_mostly_8ch()];
+    let workloads = [sim_micro(), gc_heavy(), read_mostly_8ch(), deep_queue()];
 
     let results: Vec<RunSample> = workloads
         .iter()

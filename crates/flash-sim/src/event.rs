@@ -22,7 +22,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Identifier of a page-granular flash command in the engine's arena.
+/// Identifier of a page-granular flash command, unique while the command
+/// is in flight and recycled after it retires.
 pub type CmdId = u32;
 /// Identifier of a host request in the engine's arena.
 pub type ReqId = u32;
@@ -35,11 +36,14 @@ pub enum EventKind {
     /// A host-queued request is admitted after a queue slot freed
     /// (host-queue-depth back-pressure).
     Admit(ReqId),
-    /// A die finishes its current array operation (read/program/erase/GC)
-    /// for the given command.
-    DieOpDone(CmdId),
-    /// A channel bus finishes the transfer phase of the given command.
-    BusDone(CmdId),
+    /// An execution unit (plane or die) finishes the array operation
+    /// (read/program/GC) of the command it holds. Carries the unit index:
+    /// a command holds its unit from start to retirement, so the unit
+    /// names the command.
+    DieOpDone(u32),
+    /// A channel bus finishes the transfer of the command holding the
+    /// given unit. Carries the unit index, as [`EventKind::DieOpDone`].
+    BusDone(u32),
 }
 
 /// A scheduled event.

@@ -51,7 +51,7 @@ pub const DECISION_CLASSES: usize = 42;
 pub struct CmdIssue {
     /// Simulated time of the issue.
     pub at_ns: u64,
-    /// Arena id of the command (recycled between commands).
+    /// Id of the command (recycled after it retires).
     pub cmd: CmdId,
     /// Tenant the command serves; GC commands carry the tenant whose
     /// write triggered the pass, so internal work is attributable.
@@ -73,7 +73,7 @@ pub struct CmdIssue {
 pub struct CmdComplete {
     /// Simulated time of completion.
     pub at_ns: u64,
-    /// Arena id of the command.
+    /// Id of the command.
     pub cmd: CmdId,
     /// Tenant the command served; GC commands carry the tenant whose
     /// write triggered the pass.
@@ -95,7 +95,7 @@ pub struct CmdComplete {
 pub struct BusAcquire {
     /// Simulated time the transfer started.
     pub at_ns: u64,
-    /// Arena id of the command.
+    /// Id of the command.
     pub cmd: CmdId,
     /// Channel whose bus was acquired.
     pub channel: u16,
@@ -108,7 +108,7 @@ pub struct BusAcquire {
 pub struct BusRelease {
     /// Simulated time the transfer ended.
     pub at_ns: u64,
-    /// Arena id of the command.
+    /// Id of the command.
     pub cmd: CmdId,
     /// Channel whose bus was released.
     pub channel: u16,

@@ -15,7 +15,6 @@
 //! Garbage-collection operations ride the write class — they are internal
 //! writes and must not preempt host reads.
 
-use crate::event::CmdId;
 use std::collections::VecDeque;
 
 /// Scheduling class of a command.
@@ -41,62 +40,76 @@ pub enum SchedPolicy {
     },
 }
 
-/// A two-class queue supporting both disciplines.
+/// A two-class queue supporting both disciplines, generic over what it
+/// holds: unit queues carry whole waiting-command records, bus queues
+/// carry unit indices.
 ///
-/// Entries carry a queue-local sequence number so FIFO order across
-/// classes is recoverable in O(1).
-#[derive(Debug, Clone, Default)]
-pub struct PriorityQueue {
-    reads: VecDeque<(u64, CmdId)>,
-    writes: VecDeque<(u64, CmdId)>,
-    next_seq: u64,
+/// Entries carry a queue-local `u32` sequence number so FIFO order across
+/// classes is recoverable in O(1). Sequence numbers wrap; FIFO only ever
+/// compares the two class fronts, whose distance is bounded by the queue
+/// length, so a wrapping compare stays exact.
+#[derive(Debug, Clone)]
+pub struct PriorityQueue<T> {
+    reads: VecDeque<(u32, T)>,
+    writes: VecDeque<(u32, T)>,
+    next_seq: u32,
     bypass: u32,
 }
 
-impl PriorityQueue {
+impl<T> Default for PriorityQueue<T> {
+    fn default() -> Self {
+        Self {
+            reads: VecDeque::new(),
+            writes: VecDeque::new(),
+            next_seq: 0,
+            bypass: 0,
+        }
+    }
+}
+
+impl<T> PriorityQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Enqueues a command in its class.
-    pub fn push(&mut self, cmd: CmdId, class: CmdClass) {
+    /// Enqueues an entry in its class.
+    pub fn push(&mut self, item: T, class: CmdClass) {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = seq.wrapping_add(1);
         match class {
-            CmdClass::Read => self.reads.push_back((seq, cmd)),
-            CmdClass::Write => self.writes.push_back((seq, cmd)),
+            CmdClass::Read => self.reads.push_back((seq, item)),
+            CmdClass::Write => self.writes.push_back((seq, item)),
         }
     }
 
-    /// Dequeues the next command under `policy`.
-    pub fn pop(&mut self, policy: SchedPolicy) -> Option<CmdId> {
-        match policy {
-            SchedPolicy::Fifo => {
-                let r = self.reads.front().map(|&(s, _)| s);
-                let w = self.writes.front().map(|&(s, _)| s);
-                match (r, w) {
-                    (Some(rs), Some(ws)) if rs < ws => self.reads.pop_front().map(|(_, c)| c),
-                    (Some(_), Some(_)) => self.writes.pop_front().map(|(_, c)| c),
-                    (Some(_), None) => self.reads.pop_front().map(|(_, c)| c),
-                    (None, _) => self.writes.pop_front().map(|(_, c)| c),
+    /// Dequeues the next entry under `policy`.
+    pub fn pop(&mut self, policy: SchedPolicy) -> Option<T> {
+        let item = match policy {
+            SchedPolicy::Fifo => match (self.reads.front(), self.writes.front()) {
+                // `rs` is older than `ws` iff it is behind it mod 2^32.
+                (Some(&(rs, _)), Some(&(ws, _))) if (rs.wrapping_sub(ws) as i32) < 0 => {
+                    self.reads.pop_front()
                 }
-            }
+                (Some(_), None) => self.reads.pop_front(),
+                _ => self.writes.pop_front(),
+            },
             SchedPolicy::ReadPriority { max_bypass } => {
                 let write_waiting = !self.writes.is_empty();
                 if !self.reads.is_empty() && (!write_waiting || self.bypass < max_bypass) {
                     if write_waiting {
                         self.bypass += 1;
                     }
-                    return self.reads.pop_front().map(|(_, c)| c);
-                }
-                if let Some((_, w)) = self.writes.pop_front() {
+                    self.reads.pop_front()
+                } else if let Some(w) = self.writes.pop_front() {
                     self.bypass = 0;
-                    return Some(w);
+                    Some(w)
+                } else {
+                    self.reads.pop_front()
                 }
-                self.reads.pop_front().map(|(_, c)| c)
             }
-        }
+        };
+        item.map(|(_, it)| it)
     }
 
     /// Combined `push` + `pop` on an **empty** queue — the uncontended
@@ -104,15 +117,15 @@ impl PriorityQueue {
     /// exact: the sequence counter still advances, and a write popped
     /// under [`SchedPolicy::ReadPriority`] still resets the bypass budget
     /// (a read finding no waiting write leaves it untouched, as `pop`
-    /// does). Returns the command for symmetry with `pop`.
+    /// does). Returns the entry for symmetry with `pop`.
     #[inline]
-    pub fn push_pop_empty(&mut self, cmd: CmdId, class: CmdClass, policy: SchedPolicy) -> CmdId {
+    pub fn push_pop_empty(&mut self, item: T, class: CmdClass, policy: SchedPolicy) -> T {
         debug_assert!(self.is_empty(), "push_pop_empty on a non-empty queue");
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.wrapping_add(1);
         if matches!(policy, SchedPolicy::ReadPriority { .. }) && class == CmdClass::Write {
             self.bypass = 0;
         }
-        cmd
+        item
     }
 
     /// Empties the queue and rewinds the sequence and bypass counters to
@@ -124,7 +137,7 @@ impl PriorityQueue {
         self.bypass = 0;
     }
 
-    /// Total queued commands.
+    /// Total queued entries.
     pub fn len(&self) -> usize {
         self.reads.len() + self.writes.len()
     }
@@ -135,24 +148,51 @@ impl PriorityQueue {
     }
 }
 
-/// Scheduling state of one execution unit (plane or die).
-#[derive(Debug, Clone, Default)]
-pub struct DieSched {
-    /// Whether the unit is reserved by an in-flight command (including
-    /// the phases where it idles waiting for the bus).
-    pub busy: bool,
+/// Scheduling state of one execution unit (plane or die), generic over
+/// the command record it queues and runs.
+///
+/// A command holds its unit from start to retirement, waiting-for-bus
+/// phases included, so at most one is ever in service: it lives in
+/// `cur`, and the unit is busy exactly while `cur` is `Some`.
+#[derive(Debug, Clone)]
+pub struct DieSched<T> {
+    /// The command in service, if any.
+    pub cur: Option<T>,
+    /// Start of `cur`'s current phase.
+    pub t_mark: u64,
+    /// Channel bus the unit transfers on.
+    pub channel: u16,
     /// Commands waiting for the unit.
-    pub queue: PriorityQueue,
+    pub queue: PriorityQueue<T>,
     /// Queued plus in-flight commands — the load signal consumed by
     /// dynamic page allocation.
     pub backlog: u32,
 }
 
-impl DieSched {
-    /// Restores the idle freshly-constructed state, keeping the queue
-    /// allocations.
-    pub fn reset(&mut self) {
-        self.busy = false;
+impl<T> Default for DieSched<T> {
+    fn default() -> Self {
+        Self {
+            cur: None,
+            t_mark: 0,
+            channel: 0,
+            queue: PriorityQueue::new(),
+            backlog: 0,
+        }
+    }
+}
+
+impl<T> DieSched<T> {
+    /// Whether a command holds the unit.
+    pub fn busy(&self) -> bool {
+        self.cur.is_some()
+    }
+
+    /// Restores the idle freshly-constructed state on `channel`, keeping
+    /// the queue allocations.
+    pub fn reset(&mut self, channel: u16) {
+        self.cur = None;
+        self.t_mark = 0;
+        self.channel = channel;
         self.queue.reset();
         self.backlog = 0;
     }
@@ -163,8 +203,8 @@ impl DieSched {
 pub struct BusSched {
     /// Whether a transfer is in progress.
     pub busy: bool,
-    /// Commands (holding their units) waiting for the bus.
-    pub queue: PriorityQueue,
+    /// Units (each holding a command) waiting for the bus.
+    pub queue: PriorityQueue<u32>,
 }
 
 impl BusSched {
@@ -179,6 +219,7 @@ impl BusSched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CmdId;
     use simrng::{Rng, SimRng};
 
     const RP4: SchedPolicy = SchedPolicy::ReadPriority { max_bypass: 4 };
@@ -186,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_queue_pops_none() {
-        let mut q = PriorityQueue::new();
+        let mut q = PriorityQueue::<CmdId>::new();
         assert!(q.pop(RP4).is_none());
         assert!(q.pop(SchedPolicy::Fifo).is_none());
         assert!(q.is_empty());
@@ -286,8 +327,38 @@ mod tests {
         assert_eq!(SchedPolicy::default(), SchedPolicy::Fifo);
     }
 
-    /// Every pushed command is popped exactly once under either policy,
-    /// over seeded random class mixes.
+    /// A multi-field payload, so the property tests below check that
+    /// whole records come back intact, not just ids.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Rec {
+        id: CmdId,
+        stamp: u64,
+        class: CmdClass,
+    }
+
+    /// Pushes one record per seeded class draw; `stamp` is derived from
+    /// the id so a popped record can be checked field by field.
+    fn fill(q: &mut PriorityQueue<Rec>, classes: &[bool]) {
+        for (i, &is_read) in classes.iter().enumerate() {
+            let class = if is_read {
+                CmdClass::Read
+            } else {
+                CmdClass::Write
+            };
+            let id = i as CmdId;
+            let stamp = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            q.push(Rec { id, stamp, class }, class);
+        }
+    }
+
+    fn assert_intact(r: &Rec, classes: &[bool], seed: u64) {
+        let i = r.id as usize;
+        assert_eq!(r.stamp, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        assert_eq!(r.class == CmdClass::Read, classes[i], "seed {seed}");
+    }
+
+    /// Every pushed record is popped exactly once, intact, under either
+    /// policy, over seeded random class mixes.
     #[test]
     fn conservation() {
         for seed in 0..48u64 {
@@ -301,49 +372,50 @@ mod tests {
                 }
             };
             let mut q = PriorityQueue::new();
-            for (i, &is_read) in classes.iter().enumerate() {
-                q.push(
-                    i as CmdId,
-                    if is_read {
-                        CmdClass::Read
-                    } else {
-                        CmdClass::Write
-                    },
-                );
-            }
+            fill(&mut q, &classes);
             let mut seen = std::collections::HashSet::new();
-            while let Some(c) = q.pop(policy) {
-                assert!(seen.insert(c), "command {} popped twice (seed {seed})", c);
+            while let Some(r) = q.pop(policy) {
+                assert_intact(&r, &classes, seed);
+                assert!(
+                    seen.insert(r.id),
+                    "record {} popped twice (seed {seed})",
+                    r.id
+                );
             }
             assert_eq!(seen.len(), classes.len(), "seed {seed}");
         }
     }
 
-    /// FIFO pops are globally ordered by arrival.
+    /// FIFO pops are globally ordered by arrival and return intact records.
     #[test]
     fn fifo_is_sorted() {
         for seed in 0..48u64 {
             let mut rng = SimRng::seed_from_u64(1000 + seed);
             let classes: Vec<bool> = (0..rng.gen_range(0usize..100)).map(|_| rng.gen()).collect();
             let mut q = PriorityQueue::new();
-            for (i, &is_read) in classes.iter().enumerate() {
-                q.push(
-                    i as CmdId,
-                    if is_read {
-                        CmdClass::Read
-                    } else {
-                        CmdClass::Write
-                    },
-                );
-            }
+            fill(&mut q, &classes);
             let mut prev = None;
-            while let Some(c) = q.pop(SchedPolicy::Fifo) {
+            while let Some(r) = q.pop(SchedPolicy::Fifo) {
+                assert_intact(&r, &classes, seed);
                 if let Some(p) = prev {
-                    assert!(c > p, "{c} after {p} (seed {seed})");
+                    assert!(r.id > p, "{} after {p} (seed {seed})", r.id);
                 }
-                prev = Some(c);
+                prev = Some(r.id);
             }
         }
+    }
+
+    /// FIFO order holds across the `u32` sequence wrap.
+    #[test]
+    fn fifo_order_survives_sequence_wrap() {
+        let mut q = PriorityQueue::new();
+        q.next_seq = u32::MAX - 1;
+        q.push(1, CmdClass::Write);
+        q.push(2, CmdClass::Read);
+        q.push(3, CmdClass::Read);
+        q.push(4, CmdClass::Write);
+        let order: Vec<CmdId> = (0..4).map(|_| q.pop(SchedPolicy::Fifo).unwrap()).collect();
+        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     /// A waiting write is served after at most `bound` subsequent pops

@@ -61,121 +61,103 @@ enum Phase {
     GcExec,
 }
 
-/// Hot per-command state: the fields every dispatch touches. Packed to
-/// 8 bytes so eight in-flight commands share a cache line.
-#[derive(Debug, Clone, Copy)]
-struct CmdMeta {
-    /// Array-execution unit index (plane or die, per
-    /// `SsdConfig::plane_parallelism`).
-    unit: u32,
-    channel: u16,
-    class: CmdClass,
-    phase: Phase,
+impl Phase {
+    /// Scheduling class: reads stay in the read class through their
+    /// transfer; writes and GC are the write class.
+    #[inline]
+    fn class(self) -> CmdClass {
+        match self {
+            Phase::ArrayRead | Phase::WaitBusRead | Phase::XferRead => CmdClass::Read,
+            _ => CmdClass::Write,
+        }
+    }
 }
 
-/// Hot per-command timestamps, split from [`CmdMeta`] so phase dispatch
-/// that needs no times keeps the meta array dense.
+/// A command from spawn to retirement: it waits in its unit's queue,
+/// then sits in [`DieSched::cur`] until it retires. The unit and its
+/// channel are the scheduler slot's own, and the class follows from the
+/// phase.
+///
+/// Packed to 28 bytes at 4-byte alignment so a queue entry, with its
+/// `u32` sequence number, is exactly 32 bytes.
 #[derive(Debug, Clone, Copy)]
-struct CmdTimes {
+#[repr(C, packed(4))]
+struct UnitCmd {
     /// When the command entered its unit queue.
     t_spawn: u64,
-    /// Start of the current phase (for breakdown accounting).
-    t_mark: u64,
-}
-
-/// Cold per-command fields: written at spawn, read at completion and in
-/// the GC branches — never by the per-event dispatch itself.
-#[derive(Debug, Clone, Copy)]
-struct CmdCold {
+    /// Composite duration for GC commands, 0 otherwise.
+    gc_ns: u64,
+    id: CmdId,
     req: ReqId,
     /// Tenant served; GC commands carry the triggering write's tenant.
     tenant: u16,
-    /// Composite duration for GC commands, 0 otherwise.
-    gc_duration_ns: u64,
+    phase: Phase,
 }
 
-/// Struct-of-arrays command arena with slot recycling.
-///
-/// Splitting hot (`meta`, `times`) from cold (`cold`) fields keeps the
-/// cache lines the event loop streams through free of bytes it never
-/// reads per event; recycling keeps all three arrays at the peak
-/// in-flight depth instead of growing with the trace.
+// A queue entry is the record plus its `u32` sequence number.
+const _: () = assert!(std::mem::size_of::<(u32, UnitCmd)>() <= 32);
+
+/// Free list of [`CmdId`]s. An id is taken when a command spawns and
+/// returned after its last `release_die`, so ids in flight stay unique
+/// and the id space plateaus at the peak in-flight depth.
 #[derive(Debug)]
-struct CmdArena {
-    meta: Vec<CmdMeta>,
-    times: Vec<CmdTimes>,
-    cold: Vec<CmdCold>,
-    /// Slots of retired commands, reused by [`CmdArena::alloc`]. Recycling
-    /// ids is safe because every scheduler queue orders by its own
-    /// insertion sequence, never by `CmdId` value.
-    free_slots: Vec<CmdId>,
-    /// Upper bound on arena slots (defaults to the full id space; tests
-    /// shrink it to force exhaustion).
-    slot_limit: CmdId,
+struct CmdIds {
+    /// Ids handed out so far; the next fresh id.
+    next: CmdId,
+    /// Retired ids, reused LIFO by [`CmdIds::alloc`]. Recycling ids is
+    /// safe because every scheduler queue orders by its own insertion
+    /// sequence, never by `CmdId` value.
+    free: Vec<CmdId>,
+    /// Upper bound on ids (defaults to the full id space; tests shrink it
+    /// to force exhaustion).
+    limit: CmdId,
 }
 
-impl Default for CmdArena {
+impl Default for CmdIds {
     fn default() -> Self {
         Self {
-            meta: Vec::new(),
-            times: Vec::new(),
-            cold: Vec::new(),
-            free_slots: Vec::new(),
-            slot_limit: CmdId::MAX,
+            next: 0,
+            free: Vec::new(),
+            limit: CmdId::MAX,
         }
     }
 }
 
-impl CmdArena {
-    /// Places a command in a recycled (or fresh) slot; a depth beyond
-    /// `slot_limit` is a checked error.
+impl CmdIds {
+    /// Takes a recycled (or fresh) id; a depth beyond `limit` is a
+    /// checked error.
     #[inline]
-    fn alloc(&mut self, meta: CmdMeta, times: CmdTimes, cold: CmdCold) -> Result<CmdId, SimError> {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                self.meta[slot as usize] = meta;
-                self.times[slot as usize] = times;
-                self.cold[slot as usize] = cold;
-                Ok(slot)
-            }
-            None => {
-                if self.meta.len() >= self.slot_limit as usize {
-                    return Err(SimError::CmdIdsExhausted {
-                        limit: self.slot_limit,
-                    });
-                }
-                let id = self.meta.len() as CmdId;
-                self.meta.push(meta);
-                self.times.push(times);
-                self.cold.push(cold);
-                // The free list holds at most one entry per slot; growing
-                // it alongside the slot arrays keeps `free` itself
-                // allocation-free, so retiring commands in the
-                // steady-state loop never touches the heap.
-                if self.free_slots.capacity() < self.meta.len() {
-                    let need = self.meta.len() - self.free_slots.len();
-                    self.free_slots.reserve(need);
-                }
-                Ok(id)
-            }
+    fn alloc(&mut self) -> Result<CmdId, SimError> {
+        if let Some(id) = self.free.pop() {
+            return Ok(id);
         }
+        if self.next >= self.limit {
+            return Err(SimError::CmdIdsExhausted { limit: self.limit });
+        }
+        let id = self.next;
+        self.next += 1;
+        // The free list holds at most one entry per id; growing it in
+        // step keeps `free` allocation-free, so retiring commands in the
+        // steady-state loop never touches the heap.
+        if self.free.capacity() < self.next as usize {
+            self.free.reserve(self.next as usize - self.free.len());
+        }
+        Ok(id)
     }
 
-    /// Returns a finished command's slot to the free list. Must only be
-    /// called once per command, after its last use of the slot.
+    /// Returns a retired command's id. Must only be called once per
+    /// command, after its last use of the id.
     #[inline]
     fn free(&mut self, id: CmdId) {
-        self.free_slots.push(id);
+        self.free.push(id);
     }
 
-    /// Empties the arena (keeping array capacity) and lifts any
-    /// test-imposed slot limit.
+    /// Forgets every id (keeping the free list's capacity) and lifts any
+    /// test-imposed limit.
     fn reset(&mut self) {
-        self.meta.clear();
-        self.times.clear();
-        self.cold.clear();
-        self.free_slots.clear();
-        self.slot_limit = CmdId::MAX;
+        self.next = 0;
+        self.free.clear();
+        self.limit = CmdId::MAX;
     }
 }
 
@@ -307,12 +289,12 @@ pub enum SimError {
         /// Explanation.
         reason: String,
     },
-    /// The command arena ran out of `CmdId`s: more commands were in
-    /// flight at once than the id space can name. With slot recycling
-    /// this only happens at a forced (test) limit or a truly absurd
-    /// in-flight depth — it is a checked error, never a silent wrap.
+    /// The engine ran out of `CmdId`s: more commands were in flight at
+    /// once than the id space can name. With id recycling this only
+    /// happens at a forced (test) limit or a truly absurd in-flight
+    /// depth — it is a checked error, never a silent wrap.
     CmdIdsExhausted {
-        /// The arena's slot limit when it overflowed.
+        /// The id limit when it overflowed.
         limit: u32,
     },
     /// The trace holds more requests than the `ReqId` space can name
@@ -464,10 +446,10 @@ pub struct Simulator<P: Probe = NullProbe> {
     geo: Geometry,
     layout: TenantLayout,
     ftl: Ftl,
-    units: Vec<DieSched>,
+    units: Vec<DieSched<UnitCmd>>,
     buses: Vec<BusSched>,
     events: EventQueue,
-    cmds: CmdArena,
+    cmd_ids: CmdIds,
     reqs: Vec<ReqState>,
     realloc: Vec<Reallocation>,
     next_realloc: usize,
@@ -556,7 +538,7 @@ impl<P: Probe> SimBuilder<P> {
         self
     }
 
-    /// Caps the command arena at `limit` slots (exercises
+    /// Caps the commands in flight at once at `limit` ids (exercises
     /// [`SimError::CmdIdsExhausted`] without 2^32 live commands).
     pub fn cmd_slot_limit(mut self, limit: u32) -> Self {
         self.cmd_slot_limit = Some(limit);
@@ -625,10 +607,15 @@ impl<P: Probe> SimBuilder<P> {
             geo.total_dies()
         };
         let mut units = std::mem::take(&mut p.units);
-        for d in &mut units {
-            d.reset();
-        }
         units.resize_with(unit_count, DieSched::default);
+        for (unit, d) in units.iter_mut().enumerate() {
+            let channel = if cfg.plane_parallelism {
+                geo.channel_of_plane(unit)
+            } else {
+                geo.channel_of_die(unit)
+            };
+            d.reset(channel as u16);
+        }
         let mut buses = std::mem::take(&mut p.buses);
         for b in &mut buses {
             b.reset();
@@ -636,8 +623,8 @@ impl<P: Probe> SimBuilder<P> {
         buses.resize_with(geo.channels(), BusSched::default);
         let mut events = std::mem::take(&mut p.events);
         events.reset();
-        let mut cmds = std::mem::take(&mut p.cmds);
-        cmds.reset();
+        let mut cmd_ids = std::mem::take(&mut p.cmd_ids);
+        cmd_ids.reset();
         let mut reqs = std::mem::take(&mut p.reqs);
         reqs.clear();
         let mut realloc = std::mem::take(&mut p.realloc);
@@ -669,7 +656,7 @@ impl<P: Probe> SimBuilder<P> {
             units,
             buses,
             events,
-            cmds,
+            cmd_ids,
             reqs,
             realloc,
             next_realloc: 0,
@@ -698,7 +685,7 @@ impl<P: Probe> SimBuilder<P> {
             ftl,
         };
         if let Some(limit) = cmd_slot_limit {
-            sim.cmds.slot_limit = limit;
+            sim.cmd_ids.limit = limit;
         }
         if !fill_fractions.is_empty() {
             sim.precondition(&fill_fractions)?;
@@ -710,7 +697,7 @@ impl<P: Probe> SimBuilder<P> {
 /// Recyclable allocation pool for repeated [`Simulator`] runs.
 ///
 /// A build from a fresh arena allocates the FTL mapping tables, the
-/// command arena, the event queue, and every queue from scratch; a build
+/// command-id free list, the event queue, and every queue from scratch; a build
 /// from a used one resets the buffers [`Simulator::run_reclaim`] handed
 /// back in place, so a warm
 /// build + run performs zero heap allocations when the device shape is
@@ -751,10 +738,10 @@ pub struct SimArena {
 struct ArenaParts {
     geo: Option<Geometry>,
     ftl: Option<Ftl>,
-    units: Vec<DieSched>,
+    units: Vec<DieSched<UnitCmd>>,
     buses: Vec<BusSched>,
     events: EventQueue,
-    cmds: CmdArena,
+    cmd_ids: CmdIds,
     reqs: Vec<ReqState>,
     realloc: Vec<Reallocation>,
     backlog_scratch: Vec<u32>,
@@ -800,7 +787,7 @@ impl SimArena {
             units,
             buses,
             events,
-            cmds,
+            cmd_ids,
             reqs,
             realloc,
             mut tenants,
@@ -818,7 +805,7 @@ impl SimArena {
         self.parts.units = units;
         self.parts.buses = buses;
         self.parts.events = events;
-        self.parts.cmds = cmds;
+        self.parts.cmd_ids = cmd_ids;
         self.parts.reqs = reqs;
         self.parts.realloc = realloc;
         self.parts.backlog_scratch = backlog_scratch;
@@ -964,12 +951,12 @@ impl<P: Probe> Simulator<P> {
                     }
                 }
                 EventKind::Admit(r) => self.on_arrive(r, trace, time)?,
-                EventKind::DieOpDone(c) => self.on_die_done(c, time),
-                EventKind::BusDone(c) => self.on_bus_done(c, time),
+                EventKind::DieOpDone(unit) => self.on_die_done(unit as usize, time),
+                EventKind::BusDone(unit) => self.on_bus_done(unit as usize, time),
             }
         }
 
-        debug_assert!(self.units.iter().all(|d| !d.busy && d.queue.is_empty()));
+        debug_assert!(self.units.iter().all(|d| !d.busy() && d.queue.is_empty()));
         debug_assert!(self.buses.iter().all(|b| !b.busy && b.queue.is_empty()));
 
         if obs::ENABLED {
@@ -1067,18 +1054,9 @@ impl<P: Probe> Simulator<P> {
             Op::Read => {
                 for lpn in io.pages() {
                     let addr = self.ftl.translate_read(io.tenant, lpn, &self.layout)?;
-                    let unit = self.unit_of_plane(self.geo.plane_index(&addr)) as u32;
-                    let channel = addr.channel;
-                    self.spawn_cmd(
-                        req,
-                        io.tenant,
-                        CmdClass::Read,
-                        unit,
-                        channel,
-                        Phase::ArrayRead,
-                        0,
-                        now,
-                    )?;
+                    let unit = self.unit_of_plane(self.geo.plane_index(&addr));
+                    debug_assert_eq!(self.units[unit].channel, addr.channel);
+                    self.spawn_cmd(req, io.tenant, unit, Phase::ArrayRead, 0, now)?;
                 }
             }
             Op::Write => {
@@ -1104,21 +1082,11 @@ impl<P: Probe> Simulator<P> {
                         }
                     };
                     let outcome = self.ftl.write_in_space(io.tenant, lpn, plane)?;
-                    let unit = self.unit_of_plane(self.geo.plane_index(&outcome.addr)) as u32;
-                    let channel = outcome.addr.channel;
-                    self.spawn_cmd(
-                        req,
-                        io.tenant,
-                        CmdClass::Write,
-                        unit,
-                        channel,
-                        Phase::WaitBusWrite,
-                        0,
-                        now,
-                    )?;
+                    let unit = self.unit_of_plane(self.geo.plane_index(&outcome.addr));
+                    debug_assert_eq!(self.units[unit].channel, outcome.addr.channel);
+                    self.spawn_cmd(req, io.tenant, unit, Phase::WaitBusWrite, 0, now)?;
                     if let Some(gc) = outcome.gc {
-                        let gc_unit = self.unit_of_plane(gc.plane) as u32;
-                        let gc_channel = self.geo.channel_of_plane(gc.plane) as u16;
+                        let gc_unit = self.unit_of_plane(gc.plane);
                         self.probe.on_gc_collect(&GcCollect {
                             at_ns: now,
                             plane: gc.plane as u32,
@@ -1132,9 +1100,7 @@ impl<P: Probe> Simulator<P> {
                         self.spawn_cmd(
                             NO_REQ,
                             io.tenant,
-                            CmdClass::Write,
                             gc_unit,
-                            gc_channel,
                             Phase::GcExec,
                             gc.duration_ns,
                             now,
@@ -1148,52 +1114,42 @@ impl<P: Probe> Simulator<P> {
 
     /// Creates a command and enqueues it on its execution unit.
     ///
-    /// Slots of retired commands are recycled first; the arena only grows
-    /// when the in-flight depth exceeds every depth seen so far, and a
-    /// depth beyond `cmd_slot_limit` is a checked error.
-    #[allow(clippy::too_many_arguments)]
+    /// The id comes off the recycled free list first; a depth beyond
+    /// `cmd_slot_limit` is a checked error.
     fn spawn_cmd(
         &mut self,
         req: ReqId,
         tenant: u16,
-        class: CmdClass,
-        unit: u32,
-        channel: u16,
-        initial_phase: Phase,
-        gc_duration_ns: u64,
+        unit: usize,
+        phase: Phase,
+        gc_ns: u64,
         now: u64,
     ) -> Result<(), SimError> {
         obs::counter_add!("sim.cmds_issued", 1u64);
-        let id = self.cmds.alloc(
-            CmdMeta {
-                unit,
-                channel,
-                class,
-                phase: initial_phase,
-            },
-            CmdTimes {
-                t_spawn: now,
-                t_mark: now,
-            },
-            CmdCold {
-                req,
-                tenant,
-                gc_duration_ns,
-            },
-        )?;
-        let d = &mut self.units[unit as usize];
+        let id = self.cmd_ids.alloc()?;
+        let cmd = UnitCmd {
+            t_spawn: now,
+            gc_ns,
+            id,
+            req,
+            tenant,
+            phase,
+        };
+        let class = phase.class();
+        let d = &mut self.units[unit];
         d.backlog += 1;
         // Uncontended fast path: an idle unit with an empty queue starts
         // the command without the queue round trip. `push_pop_empty` keeps
         // the scheduler's sequence/bypass state exactly as push + pop
         // would, and the probe/record order below is unchanged.
-        let fast_start = !d.busy && d.queue.is_empty();
+        let fast_start = !d.busy() && d.queue.is_empty();
         if fast_start {
-            d.queue.push_pop_empty(id, class, self.cfg.sched_policy);
+            d.queue.push_pop_empty(cmd, class, self.cfg.sched_policy);
         } else {
-            d.queue.push(id, class);
+            d.queue.push(cmd, class);
         }
         let queue_depth = d.backlog;
+        let channel = d.channel;
         self.phases.queue_depth.record(queue_depth as u64);
         self.probe.on_cmd_issue(&CmdIssue {
             at_ns: now,
@@ -1201,14 +1157,14 @@ impl<P: Probe> Simulator<P> {
             tenant,
             class,
             gc: req == NO_REQ,
-            unit,
+            unit: unit as u32,
             channel,
             queue_depth,
         });
         if fast_start {
-            self.start_die_cmd(unit as usize, id, now);
+            self.start_die_cmd(unit, cmd, now);
         } else {
-            self.try_start_die(unit as usize, now);
+            self.try_start_die(unit, now);
         }
         Ok(())
     }
@@ -1217,49 +1173,58 @@ impl<P: Probe> Simulator<P> {
     /// unit-holding phase.
     #[inline]
     fn try_start_die(&mut self, unit: usize, now: u64) {
-        if self.units[unit].busy {
+        let d = &mut self.units[unit];
+        if d.busy() {
             return;
         }
-        let Some(cmd_id) = self.units[unit].queue.pop(self.cfg.sched_policy) else {
+        let Some(cmd) = d.queue.pop(self.cfg.sched_policy) else {
             return;
         };
-        self.start_die_cmd(unit, cmd_id, now);
+        self.start_die_cmd(unit, cmd, now);
     }
 
-    /// Marks the unit busy and starts `cmd_id`'s first unit-holding phase.
-    /// The command must already be dequeued (or fast-path bypassed).
+    /// Installs `cmd` as the unit's running command and starts its first
+    /// unit-holding phase. The command must already be dequeued (or
+    /// fast-path bypassed).
     #[inline]
-    fn start_die_cmd(&mut self, unit: usize, cmd_id: CmdId, now: u64) {
-        self.units[unit].busy = true;
+    fn start_die_cmd(&mut self, unit: usize, cmd: UnitCmd, now: u64) {
+        let d = &mut self.units[unit];
+        debug_assert!(!d.busy(), "unit {unit} started a command while busy");
+        d.cur = Some(cmd);
+        d.t_mark = now;
         // Close the unit-queue phase and open the next one. GC commands
         // are identified by phase alone — they spawn in `GcExec` and never
-        // leave it — so the dispatch below stays off the cold table except
-        // for the GC duration itself.
-        let meta = self.cmds.meta[cmd_id as usize];
-        let waited = {
-            let t = &mut self.cmds.times[cmd_id as usize];
-            let waited = now - t.t_spawn;
-            t.t_mark = now;
-            waited
-        };
-        match meta.phase {
+        // leave it.
+        let waited = now - cmd.t_spawn;
+        match cmd.phase {
             Phase::ArrayRead => {
-                self.breakdown_mut(meta.class).wait_unit_ns += waited;
+                self.read_breakdown.wait_unit_ns += waited;
                 self.phases.wait_unit.record(waited);
-                self.events
-                    .push(now + self.cfg.read_latency_ns, EventKind::DieOpDone(cmd_id));
+                self.events.push(
+                    now + self.cfg.read_latency_ns,
+                    EventKind::DieOpDone(unit as u32),
+                );
             }
             Phase::WaitBusWrite => {
-                self.breakdown_mut(meta.class).wait_unit_ns += waited;
+                self.write_breakdown.wait_unit_ns += waited;
                 self.phases.wait_unit.record(waited);
-                self.request_bus(cmd_id, now);
+                self.request_bus(unit, CmdClass::Write, now);
             }
             Phase::GcExec => {
-                let gc_ns = self.cmds.cold[cmd_id as usize].gc_duration_ns;
-                self.events.push(now + gc_ns, EventKind::DieOpDone(cmd_id));
+                self.events
+                    .push(now + cmd.gc_ns, EventKind::DieOpDone(unit as u32));
             }
-            other => unreachable!("command started on die in phase {other:?}"),
+            other => unreachable!("command started on unit in phase {other:?}"),
         }
+    }
+
+    /// The command holding `unit`.
+    #[inline]
+    fn running(&mut self, unit: usize) -> &mut UnitCmd {
+        self.units[unit]
+            .cur
+            .as_mut()
+            .expect("event names an idle unit")
     }
 
     #[inline]
@@ -1270,36 +1235,32 @@ impl<P: Probe> Simulator<P> {
         }
     }
 
-    /// Requests the channel bus for a command that holds its die; starts
-    /// the transfer immediately when the bus is idle, otherwise queues.
-    fn request_bus(&mut self, cmd_id: CmdId, now: u64) {
-        let meta = self.cmds.meta[cmd_id as usize];
-        let bus = &mut self.buses[meta.channel as usize];
+    /// Requests the channel bus for the command holding `unit`; starts
+    /// the transfer immediately when the bus is idle, otherwise queues
+    /// the unit.
+    fn request_bus(&mut self, unit: usize, class: CmdClass, now: u64) {
+        let bus = &mut self.buses[self.units[unit].channel as usize];
         if bus.busy {
-            bus.queue.push(cmd_id, meta.class);
+            bus.queue.push(unit as u32, class);
         } else {
             bus.busy = true;
-            self.start_transfer(cmd_id, now);
+            self.start_transfer(unit, now);
         }
     }
 
     #[inline]
-    fn start_transfer(&mut self, cmd_id: CmdId, now: u64) {
-        let (class, channel) = {
-            let meta = &mut self.cmds.meta[cmd_id as usize];
-            meta.phase = match meta.phase {
-                Phase::WaitBusRead | Phase::ArrayRead => Phase::XferRead,
-                Phase::WaitBusWrite => Phase::XferWrite,
-                other => unreachable!("transfer started in phase {other:?}"),
-            };
-            (meta.class, meta.channel)
+    fn start_transfer(&mut self, unit: usize, now: u64) {
+        let d = &mut self.units[unit];
+        let channel = d.channel;
+        let waited_for_bus = now - d.t_mark;
+        d.t_mark = now;
+        let cmd = d.cur.as_mut().expect("bus granted to an idle unit");
+        cmd.phase = match cmd.phase {
+            Phase::WaitBusRead => Phase::XferRead,
+            Phase::WaitBusWrite => Phase::XferWrite,
+            other => unreachable!("transfer started in phase {other:?}"),
         };
-        let waited_for_bus = {
-            let t = &mut self.cmds.times[cmd_id as usize];
-            let waited = now - t.t_mark;
-            t.t_mark = now;
-            waited
-        };
+        let (id, class) = (cmd.id, cmd.phase.class());
         self.bus_busy_ns[channel as usize] += self.transfer_ns;
         {
             let transfer_ns = self.transfer_ns;
@@ -1311,118 +1272,112 @@ impl<P: Probe> Simulator<P> {
         self.phases.transfer.record(self.transfer_ns);
         self.probe.on_bus_acquire(&BusAcquire {
             at_ns: now,
-            cmd: cmd_id,
+            cmd: id,
             channel,
             waited_ns: waited_for_bus,
         });
         obs::counter_add!("sim.bus_transfers", 1u64);
         self.events
-            .push(now + self.transfer_ns, EventKind::BusDone(cmd_id));
+            .push(now + self.transfer_ns, EventKind::BusDone(unit as u32));
     }
 
     #[inline]
-    fn on_die_done(&mut self, cmd_id: CmdId, now: u64) {
+    fn on_die_done(&mut self, unit: usize, now: u64) {
         obs::counter_add!("sim.die_ops", 1u64);
-        let phase = self.cmds.meta[cmd_id as usize].phase;
-        match phase {
+        let elapsed = now - self.units[unit].t_mark;
+        let cmd = self.running(unit);
+        match cmd.phase {
             Phase::ArrayRead => {
-                let elapsed = {
-                    let t = &mut self.cmds.times[cmd_id as usize];
-                    let elapsed = now - t.t_mark;
-                    t.t_mark = now;
-                    elapsed
-                };
-                self.cmds.meta[cmd_id as usize].phase = Phase::WaitBusRead;
+                cmd.phase = Phase::WaitBusRead;
+                self.units[unit].t_mark = now;
                 self.read_breakdown.array_ns += elapsed;
                 self.read_breakdown.cmds += 1;
                 self.phases.array.record(elapsed);
-                self.request_bus(cmd_id, now);
+                self.request_bus(unit, CmdClass::Read, now);
             }
             Phase::Program => {
-                let elapsed = now - self.cmds.times[cmd_id as usize].t_mark;
                 self.write_breakdown.array_ns += elapsed;
                 self.write_breakdown.cmds += 1;
                 self.phases.array.record(elapsed);
-                self.complete_cmd(cmd_id, now);
-                let unit = self.cmds.meta[cmd_id as usize].unit as usize;
-                self.release_die(unit, now);
-                self.cmds.free(cmd_id);
+                self.retire(unit, now);
             }
             Phase::GcExec => {
-                let gc_ns = self.cmds.cold[cmd_id as usize].gc_duration_ns;
+                let gc_ns = cmd.gc_ns;
                 self.gc_busy_ns += gc_ns;
                 self.phases.gc_exec.record(gc_ns);
-                self.complete_cmd(cmd_id, now);
-                let unit = self.cmds.meta[cmd_id as usize].unit as usize;
-                self.release_die(unit, now);
-                self.cmds.free(cmd_id);
+                self.retire(unit, now);
             }
             other => unreachable!("DieOpDone in phase {other:?}"),
         }
     }
 
     #[inline]
-    fn on_bus_done(&mut self, cmd_id: CmdId, now: u64) {
+    fn on_bus_done(&mut self, unit: usize, now: u64) {
         // Free the bus and hand it to the next waiter first, so bus
         // utilization is back-to-back.
-        let channel = self.cmds.meta[cmd_id as usize].channel as usize;
+        let channel = self.units[unit].channel;
+        let cmd_id = self.running(unit).id;
         self.probe.on_bus_release(&BusRelease {
             at_ns: now,
             cmd: cmd_id,
-            channel: channel as u16,
+            channel,
             held_ns: self.transfer_ns,
         });
-        self.buses[channel].busy = false;
-        if let Some(next) = self.buses[channel].queue.pop(self.cfg.sched_policy) {
-            self.buses[channel].busy = true;
-            self.start_transfer(next, now);
+        let bus = &mut self.buses[channel as usize];
+        bus.busy = false;
+        if let Some(next) = bus.queue.pop(self.cfg.sched_policy) {
+            bus.busy = true;
+            self.start_transfer(next as usize, now);
         }
 
-        let phase = self.cmds.meta[cmd_id as usize].phase;
-        match phase {
-            Phase::XferRead => {
-                self.complete_cmd(cmd_id, now);
-                let unit = self.cmds.meta[cmd_id as usize].unit as usize;
-                self.release_die(unit, now);
-                self.cmds.free(cmd_id);
-            }
+        let cmd = self.running(unit);
+        match cmd.phase {
+            Phase::XferRead => self.retire(unit, now),
             Phase::XferWrite => {
-                self.cmds.meta[cmd_id as usize].phase = Phase::Program;
-                self.cmds.times[cmd_id as usize].t_mark = now;
+                cmd.phase = Phase::Program;
+                self.units[unit].t_mark = now;
                 self.events.push(
                     now + self.cfg.write_latency_ns,
-                    EventKind::DieOpDone(cmd_id),
+                    EventKind::DieOpDone(unit as u32),
                 );
             }
             other => unreachable!("BusDone in phase {other:?}"),
         }
     }
 
+    /// Retires the command holding `unit`: records its completion, hands
+    /// the unit to the next waiter, then recycles the id.
+    #[inline]
+    fn retire(&mut self, unit: usize, now: u64) {
+        let cmd = *self.running(unit);
+        self.complete_cmd(unit, &cmd, now);
+        self.release_die(unit, now);
+        self.cmd_ids.free(cmd.id);
+    }
+
     fn release_die(&mut self, unit: usize, now: u64) {
         let d = &mut self.units[unit];
-        debug_assert!(d.busy);
-        d.busy = false;
+        debug_assert!(d.busy());
+        d.cur = None;
         debug_assert!(d.backlog > 0);
         d.backlog -= 1;
         self.try_start_die(unit, now);
     }
 
     #[inline]
-    fn complete_cmd(&mut self, cmd_id: CmdId, now: u64) {
+    fn complete_cmd(&mut self, unit: usize, cmd: &UnitCmd, now: u64) {
         obs::counter_add!("sim.cmds_completed", 1u64);
         self.makespan_ns = self.makespan_ns.max(now);
-        let meta = self.cmds.meta[cmd_id as usize];
-        let cold = self.cmds.cold[cmd_id as usize];
-        let req = cold.req;
+        let req = cmd.req;
         self.probe.on_cmd_complete(&CmdComplete {
             at_ns: now,
-            cmd: cmd_id,
-            tenant: cold.tenant,
-            class: meta.class,
+            cmd: cmd.id,
+            tenant: cmd.tenant,
+            class: cmd.phase.class(),
             gc: req == NO_REQ,
-            unit: meta.unit,
-            channel: meta.channel,
-            latency_ns: now - self.cmds.times[cmd_id as usize].t_spawn,
+            unit: unit as u32,
+            channel: self.units[unit].channel,
+            latency_ns: now - cmd.t_spawn,
         });
         if req == NO_REQ {
             return; // internal GC op
@@ -2183,7 +2138,7 @@ mod tests {
     fn recycled_slots_keep_arena_at_peak_depth() {
         // 50 writes spaced far beyond the service time: at most one
         // command is ever in flight, so recycling keeps the whole run
-        // inside a 2-slot arena (one would also work, but GC on another
+        // inside 2 ids (one would also work, but GC on another
         // config could overlap — 2 shows the plateau, not the trace len).
         let cfg = small_cfg();
         let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(256);

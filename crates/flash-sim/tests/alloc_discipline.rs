@@ -1,6 +1,6 @@
 //! Heap-allocation discipline for the hot event loop.
 //!
-//! The whole point of the SoA command arena + [`SimArena`] design is that
+//! The whole point of the per-unit command state + [`SimArena`] design is that
 //! (a) the steady-state event loop allocates nothing once warm, and (b) a
 //! rebuild out of a recycled arena allocates nothing at all. Both are
 //! asserted here with a counting `#[global_allocator]`: tracking is
@@ -127,6 +127,50 @@ fn warm_arena_rerun_performs_zero_heap_allocations() {
     assert_eq!(
         allocs, 0,
         "warm arena rebuild + rerun must be allocation-free"
+    );
+    assert_eq!(warm, cold, "warm rerun must also be byte-identical");
+}
+
+/// The same contract with hundreds of commands queued per unit: an
+/// oversaturated trace keeps every waiting command's record in its unit
+/// queue, and a warm rebuild + rerun must still find all of that room
+/// already reserved.
+#[test]
+fn warm_rerun_of_an_oversaturated_trace_performs_zero_heap_allocations() {
+    let cfg = small_cfg();
+    let layout = TenantLayout::shared(2, &cfg).with_lpn_space_all(128);
+    // 3,000 requests of 1-4 pages, 50 ns apart: arrivals outrun the four
+    // dies by two orders of magnitude.
+    let trace: Vec<IoRequest> = (0..3_000u64)
+        .map(|i| {
+            let op = if i % 3 == 0 { Op::Write } else { Op::Read };
+            let pages = 1 + (i % 4) as u32;
+            IoRequest::new(i, (i % 2) as u16, op, (i * 7) % 128, pages, i * 50)
+        })
+        .collect();
+
+    let mut arena = SimArena::new();
+    let sim = SimBuilder::new(cfg.clone(), layout.clone())
+        .build_with_arena(&mut arena)
+        .expect("valid device");
+    let cold = sim.run_reclaim(&trace, &mut arena).expect("cold run");
+    let depth = cold.phases.queue_depth.mean();
+    assert!(
+        depth >= 300.0,
+        "fixture not oversaturated: mean unit backlog {depth:.0}"
+    );
+    arena.recycle_report(cold.clone());
+
+    let (cfg2, layout2) = (cfg.clone(), layout.clone());
+    let (warm, allocs) = tracked(|| {
+        let sim = SimBuilder::new(cfg2, layout2)
+            .build_with_arena(&mut arena)
+            .expect("valid device");
+        sim.run_reclaim(&trace, &mut arena).expect("warm run")
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm rebuild + rerun of a deep-queue trace must be allocation-free"
     );
     assert_eq!(warm, cold, "warm rerun must also be byte-identical");
 }
