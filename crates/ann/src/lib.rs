@@ -35,6 +35,7 @@
 //! trainer.fit(&mut net, &data, None, &mut opt);
 //! assert_eq!(ann::metrics::accuracy(&net, &data), 1.0);
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;

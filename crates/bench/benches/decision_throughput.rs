@@ -31,12 +31,12 @@
 //! Env knobs: `SSDKEEPER_BENCH_ITERS` (default 5), `SSDKEEPER_BENCH_WARMUP`
 //! (default 1), `SSDKEEPER_BENCH_JSON`, `SSDKEEPER_BENCH_STRICT`.
 
-use bench::harness::black_box;
 use bench::report;
 use parallel::PoolConfig;
 use simrng::{Rng, SimRng};
 use ssdkeeper::learner::{DatasetSpec, Learner};
-use ssdkeeper::{DecisionScratch, FeatureVector};
+use ssdkeeper::{ChannelAllocator, DecisionScratch, FeatureVector};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Feature vectors per batched decision call (one fleet window's worth).
@@ -113,7 +113,12 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // --- Decisions ------------------------------------------------------
-    let allocator = bench::bench_allocator();
+    // An untrained but correctly shaped allocator: timing does not
+    // depend on the weights.
+    let allocator = ChannelAllocator::new(
+        ann::Network::paper_topology(ann::Activation::Logistic, 3),
+        120_000.0,
+    );
     let features = corpus(BATCH);
 
     // Correctness before timing: both paths decide identically.

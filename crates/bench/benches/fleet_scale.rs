@@ -38,10 +38,10 @@
 //! is the unit of work), `SSDKEEPER_BENCH_WARMUP` (default 1),
 //! `SSDKEEPER_BENCH_JSON`, `SSDKEEPER_BENCH_PREV`.
 
-use bench::harness::black_box;
 use bench::report;
 use fleet::{run_fleet, FleetConfig, FleetOutcome};
 use parallel::PoolConfig;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 fn env_usize(key: &str, default: usize) -> usize {

@@ -48,11 +48,11 @@
 //! overhead relative to the `NullProbe` run — the number the probe
 //! layer's ≤2 % discipline is checked against.
 
-use bench::harness::black_box;
 use flash_sim::{
     EventRecorder, IoRequest, Op, PhaseReport, SimArena, SimBuilder, SsdConfig, TenantLayout,
 };
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 fn env_usize(key: &str, default: usize) -> usize {

@@ -1,7 +1,6 @@
 //! A tiny `--flag value` argument parser (no external CLI dependency),
 //! plus the flag surface every `exp` binary shares.
 
-use flash_sim::BackendKind;
 use std::collections::HashMap;
 
 /// Parsed command-line flags.
@@ -82,50 +81,23 @@ impl Args {
     }
 
     /// Parses the flag surface shared by every `exp` binary:
-    /// `--seed N`, `--json`, and `--backend {sim,file:<path>}`.
-    /// A malformed `--backend` exits with a readable message rather
-    /// than a panic backtrace.
+    /// `--seed N` and `--json`.
     pub fn common(&self, default_seed: u64) -> CommonArgs {
-        let backend = match self.get_opt("backend") {
-            None => BackendKind::Sim,
-            Some(v) => v.parse().unwrap_or_else(|e: String| {
-                eprintln!("--backend: {e}");
-                std::process::exit(2);
-            }),
-        };
         CommonArgs {
             seed: self.get("seed", default_seed),
             json: self.has("json"),
-            backend,
         }
     }
 }
 
-/// The common `--seed` / `--json` / `--backend` surface, parsed once by
-/// [`Args::common`] so backend selection routes through `RunSpec`/
-/// `SimBuilder` instead of per-binary plumbing.
+/// The common `--seed` / `--json` surface, parsed once by
+/// [`Args::common`].
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// `--seed N` (binary-specific default).
     pub seed: u64,
     /// `--json` switch.
     pub json: bool,
-    /// `--backend sim` (default) or `--backend file:<path>`.
-    pub backend: BackendKind,
-}
-
-impl CommonArgs {
-    /// Exits with a readable message when a binary whose scenario only
-    /// makes sense on simulated timing was asked for another backend.
-    pub fn require_sim(&self, bin: &str) {
-        if self.backend != BackendKind::Sim {
-            eprintln!(
-                "{bin}: only --backend sim is supported (got {})",
-                self.backend
-            );
-            std::process::exit(2);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,19 +156,12 @@ mod tests {
         let c = parse("").common(42);
         assert_eq!(c.seed, 42);
         assert!(!c.json);
-        assert_eq!(c.backend, BackendKind::Sim);
     }
 
     #[test]
-    fn common_surface_parses_all_three() {
-        let c = parse("--seed 7 --json --backend file:/tmp/r.img").common(42);
+    fn common_surface_parses_both() {
+        let c = parse("--seed 7 --json").common(42);
         assert_eq!(c.seed, 7);
         assert!(c.json);
-        assert_eq!(
-            c.backend,
-            BackendKind::File {
-                path: "/tmp/r.img".into()
-            }
-        );
     }
 }

@@ -65,7 +65,6 @@ fn digest(decisions: &[ssdkeeper::Strategy]) -> u64 {
 fn main() {
     let args = Args::from_env();
     let common = args.common(3);
-    common.require_sim("decide");
     let seed = common.seed;
     let (batch, passes) = if args.has("smoke") {
         (args.get("batch", 64usize), args.get("passes", 2usize))

@@ -13,16 +13,12 @@
 //! the captured events (command lifecycle, bus occupancy, GC passes,
 //! reallocation, the keeper decision) are written to `path` in the SSDP
 //! little-endian codec (`flash_sim::probe::decode_events` reads it back).
-//! The tables always run on simulated timing; `--backend file:<path>`
-//! switches the `--trace-out` session to real-I/O replay, so the capture
-//! carries measured latencies instead of modeled ones.
 
 use exp::args::Args;
 use exp::fig5::{
     build_mix, render_fig5, render_percentiles, render_summary, render_tables45, run, Fig5Config,
 };
 use flash_sim::probe::EventRecorder;
-use flash_sim::BackendKind;
 use ssdkeeper::keeper::{Keeper, KeeperConfig, RunSpec};
 use ssdkeeper::learner::{DatasetSpec, Learner, OptimizerChoice};
 use ssdkeeper::ChannelAllocator;
@@ -78,15 +74,13 @@ fn main() {
     println!("{}", render_summary(&results));
 
     if let Some(path) = args.get_opt("trace-out") {
-        write_trace(path, &cfg, &allocator, common.backend);
+        write_trace(path, &cfg, &allocator);
     }
 }
 
 /// Re-runs the Mix1 adapt-once session with a bounded recorder attached
-/// and persists the captured events at `path` in the SSDP codec. The
-/// session executes on `backend` — `file:<path>` captures measured
-/// wall-clock latencies through the same recorder.
-fn write_trace(path: &str, cfg: &Fig5Config, allocator: &ChannelAllocator, backend: BackendKind) {
+/// and persists the captured events at `path` in the SSDP codec.
+fn write_trace(path: &str, cfg: &Fig5Config, allocator: &ChannelAllocator) {
     let [profile, ..] = paper_mix_profiles();
     let trace = build_mix(&profile, cfg);
     let keeper = Keeper::new(
@@ -99,11 +93,7 @@ fn write_trace(path: &str, cfg: &Fig5Config, allocator: &ChannelAllocator, backe
     );
     let mut rec = EventRecorder::with_capacity(1 << 16);
     keeper
-        .run(
-            RunSpec::adapt_once(&trace, &[cfg.lpn_space; 4])
-                .with_probe(&mut rec)
-                .with_backend(backend),
-        )
+        .run(RunSpec::adapt_once(&trace, &[cfg.lpn_space; 4]).with_probe(&mut rec))
         .expect("instrumented Mix1 run");
     let bytes = rec.encode();
     std::fs::write(path, &bytes).expect("write --trace-out file");

@@ -32,7 +32,6 @@ use parallel::PoolConfig;
 fn main() {
     let args = Args::from_env();
     let common = args.common(42);
-    common.require_sim("fleet");
     let seed = common.seed;
     let mut cfg = if args.has("smoke") {
         FleetConfig::smoke(seed)

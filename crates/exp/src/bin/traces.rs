@@ -11,7 +11,6 @@ use exp::traces::{render, run};
 fn main() {
     let args = Args::from_env();
     let common = args.common(2);
-    common.require_sim("traces");
     let rows = run(
         args.get("requests", 20_000usize),
         args.get("base-iops", 2_000.0f64),

@@ -6,6 +6,8 @@
 //! print the same rows/series the paper reports and return the raw
 //! numbers so tests can assert on shapes.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod conflict;
 pub mod fig2;

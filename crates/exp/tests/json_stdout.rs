@@ -78,35 +78,3 @@ fn fleet_human_mode_keeps_digest_on_stdout() {
         "digest left stdout in human mode:\n{stdout}"
     );
 }
-
-#[test]
-fn replay_json_stdout_is_one_parseable_document() {
-    // Route the default SSDP captures to a temp dir: integration tests
-    // run with the package dir as cwd, and the default artifacts/
-    // outputs would litter crates/exp/.
-    let dir = std::env::temp_dir().join(format!("replay_json_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create capture temp dir");
-    let sim = dir.join("sim.ssdp");
-    let file = dir.join("file.ssdp");
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_replay"),
-        &[
-            "--json",
-            "--smoke",
-            "--requests",
-            "300",
-            "--capture-sim",
-            sim.to_str().unwrap(),
-            "--capture-file",
-            file.to_str().unwrap(),
-        ],
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let stdout = stdout_of(&out);
-    let doc = trace_tools::json::parse(&stdout)
-        .unwrap_or_else(|e| panic!("replay --json stdout unparseable: {e}\n{stdout}"));
-    assert!(
-        doc.get("tenants").is_some() && doc.get("engine").is_some(),
-        "unexpected document shape:\n{stdout}"
-    );
-}

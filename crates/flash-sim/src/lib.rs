@@ -42,9 +42,9 @@
 //! let report = sim.run_reclaim(&trace, &mut arena).unwrap();
 //! assert_eq!(report.total.count, 2);
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod config;
 pub mod event;
 pub mod ftl;
@@ -58,7 +58,6 @@ pub mod stats;
 pub mod tenant;
 pub mod trace;
 
-pub use backend::{Backend, BackendKind, FileBackend, SimBackend};
 pub use config::SsdConfig;
 pub use ftl::alloc::PageAllocPolicy;
 pub use geometry::{Geometry, PhysAddr};

@@ -303,14 +303,6 @@ pub enum SimError {
         /// Largest admissible request count.
         max_requests: u64,
     },
-    /// A real-I/O backend operation failed (file open, syscall, short
-    /// transfer). Never raised by the simulated backend.
-    Io {
-        /// The operation that failed (e.g. `"open"`, `"read"`).
-        op: &'static str,
-        /// OS-level failure description.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -341,7 +333,6 @@ impl std::fmt::Display for SimError {
             SimError::ReqIdsExhausted { max_requests } => {
                 write!(f, "trace too long: at most {max_requests} requests per run")
             }
-            SimError::Io { op, reason } => write!(f, "real-I/O {op} failed: {reason}"),
         }
     }
 }
@@ -362,8 +353,8 @@ impl From<ConfigError> for SimError {
 
 /// Validates a trace against the engine's admission rules — sorted by
 /// arrival, tenants within `tenant_count`, at least one page per
-/// request. Shared by every [`crate::backend::Backend`], so simulated
-/// and real-I/O replays reject malformed traces with identical errors.
+/// request. [`Simulator::run_reclaim`] runs it before simulating
+/// anything.
 pub fn validate_trace(trace: &[IoRequest], tenant_count: usize) -> Result<(), SimError> {
     let mut prev = 0u64;
     for (i, r) in trace.iter().enumerate() {
@@ -379,51 +370,6 @@ pub fn validate_trace(trace: &[IoRequest], tenant_count: usize) -> Result<(), Si
         }
         if r.size_pages == 0 {
             return Err(SimError::EmptyRequest { index: i });
-        }
-    }
-    Ok(())
-}
-
-/// Validates a device description (config + tenant layout) without
-/// building a [`Simulator`]: runs the config checks, derives the
-/// geometry, and verifies the layout's logical capacity fits. Used by
-/// backends that need up-front validation but defer engine construction
-/// (e.g. [`crate::backend::SimBackend::new`]).
-pub(crate) fn validate_device(cfg: &SsdConfig, layout: &TenantLayout) -> Result<(), SimError> {
-    cfg.validate()?;
-    let geo = Geometry::new(cfg);
-    check_capacity(cfg, &geo, layout, &mut Vec::new())
-}
-
-/// Validates one scheduled reallocation against the registration rules
-/// every backend enforces: non-decreasing application times, tenants
-/// within the layout, constructible channel sets.
-pub(crate) fn validate_reallocation(
-    realloc: &Reallocation,
-    prev_at_ns: Option<u64>,
-    tenant_count: usize,
-    channels: usize,
-) -> Result<(), SimError> {
-    if let Some(last) = prev_at_ns {
-        if realloc.at_ns < last {
-            return Err(SimError::BadReallocation {
-                reason: format!(
-                    "reallocation at {} scheduled after one at {}",
-                    realloc.at_ns, last
-                ),
-            });
-        }
-    }
-    for (tenant, list, _) in realloc.entries() {
-        if tenant >= tenant_count {
-            return Err(SimError::BadReallocation {
-                reason: format!("tenant {tenant} out of range"),
-            });
-        }
-        if ChannelSet::new(list, channels).is_none() {
-            return Err(SimError::BadReallocation {
-                reason: format!("invalid channel list {list:?} for tenant {tenant}"),
-            });
         }
     }
     Ok(())
@@ -833,12 +779,28 @@ impl<P: Probe> Simulator<P> {
     /// Multiple reallocations may be scheduled; they must be registered in
     /// non-decreasing time order.
     pub fn schedule_reallocation(&mut self, realloc: Reallocation) -> Result<(), SimError> {
-        validate_reallocation(
-            &realloc,
-            self.realloc.last().map(|r| r.at_ns),
-            self.layout.tenant_count(),
-            self.cfg.channels,
-        )?;
+        if let Some(last) = self.realloc.last().map(|r| r.at_ns) {
+            if realloc.at_ns < last {
+                return Err(SimError::BadReallocation {
+                    reason: format!(
+                        "reallocation at {} scheduled after one at {}",
+                        realloc.at_ns, last
+                    ),
+                });
+            }
+        }
+        for (tenant, list, _) in realloc.entries() {
+            if tenant >= self.layout.tenant_count() {
+                return Err(SimError::BadReallocation {
+                    reason: format!("tenant {tenant} out of range"),
+                });
+            }
+            if ChannelSet::new(list, self.cfg.channels).is_none() {
+                return Err(SimError::BadReallocation {
+                    reason: format!("invalid channel list {list:?} for tenant {tenant}"),
+                });
+            }
+        }
         self.realloc.push(realloc);
         Ok(())
     }

@@ -1,10 +1,9 @@
 //! Error-path coverage for trace validation and `SimError` rendering:
 //! every rejection a caller can hit has a stable, actionable Display
-//! string, and both backends reject malformed inputs the same way.
+//! string, and the simulator rejects a malformed trace before running it.
 
 use flash_sim::{
-    validate_trace, BackendKind, IoRequest, NullProbe, Op, SimArena, SimBuilder, SimError,
-    SsdConfig, TenantLayout,
+    validate_trace, IoRequest, Op, SimArena, SimBuilder, SimError, SsdConfig, TenantLayout,
 };
 
 fn cfg() -> SsdConfig {
@@ -49,31 +48,18 @@ fn zero_page_request_is_rejected() {
     assert_eq!(err.to_string(), "request 0 has zero pages");
 }
 
-/// The same validation guards both backends: a bad trace fails a
-/// `Backend::run` before any time is simulated or any byte is written.
+/// The same validation guards a run: a bad trace fails `run_reclaim`
+/// before any time is simulated, so no report comes back.
 #[test]
-fn both_backends_reject_bad_traces_before_running() {
-    let target = std::env::temp_dir().join(format!("ssdkeeper-errpath-{}.img", std::process::id()));
-    for kind in [
-        BackendKind::Sim,
-        BackendKind::File {
-            path: target.clone(),
-        },
-    ] {
-        let be = SimBuilder::new(cfg(), layout(&cfg()))
-            .build_backend(&kind)
-            .unwrap();
-        let trace = vec![req(0, 0, 0, 1, 100), req(1, 0, 1, 1, 50)];
-        let err = be
-            .run(&trace, &mut NullProbe, &mut SimArena::new())
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "trace not sorted by arrival at index 1",
-            "{kind}"
-        );
-    }
-    let _ = std::fs::remove_file(target);
+fn run_rejects_bad_traces_before_running() {
+    let mut arena = SimArena::new();
+    let sim = SimBuilder::new(cfg(), layout(&cfg()))
+        .build_with_arena(&mut arena)
+        .unwrap();
+    let trace = vec![req(0, 0, 0, 1, 100), req(1, 0, 1, 1, 50)];
+    let err = sim.run_reclaim(&trace, &mut arena).unwrap_err();
+    assert!(matches!(err, SimError::TraceNotSorted { index: 1 }));
+    assert_eq!(err.to_string(), "trace not sorted by arrival at index 1");
 }
 
 /// A forced tiny command arena overflows deterministically and names
@@ -120,34 +106,6 @@ fn capacity_exceeded_reports_plane_and_counts() {
     assert!(
         msg.contains("logical pages but only") && msg.contains("fit"),
         "{msg}"
-    );
-}
-
-/// The Io variant renders the failing operation and the OS reason; it
-/// is raised when the file backend's target cannot be opened.
-#[test]
-fn io_error_renders_op_and_reason() {
-    let err = SimError::Io {
-        op: "open",
-        reason: "permission denied".into(),
-    };
-    assert_eq!(err.to_string(), "real-I/O open failed: permission denied");
-
-    let be = SimBuilder::new(cfg(), layout(&cfg()))
-        .build_backend(&BackendKind::File {
-            path: "/nonexistent-dir/ssdkeeper-replay.img".into(),
-        })
-        .unwrap();
-    let err = be
-        .run(&[req(0, 0, 0, 1, 0)], &mut NullProbe, &mut SimArena::new())
-        .unwrap_err();
-    match &err {
-        SimError::Io { op, .. } => assert_eq!(*op, "open"),
-        other => panic!("expected Io error, got {other}"),
-    }
-    assert!(
-        err.to_string().starts_with("real-I/O open failed:"),
-        "{err}"
     );
 }
 

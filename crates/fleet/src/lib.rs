@@ -23,6 +23,7 @@
 //! [`FleetConfig`]. Per-shard metrics merge into one
 //! `ssdtrace`-compatible summary (see [`summary`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod seed;

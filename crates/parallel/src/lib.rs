@@ -19,6 +19,7 @@
 //! * With one worker the implementation degrades to a plain sequential map
 //!   (no threads are spawned), so the same code path is used on single-core
 //!   CI machines.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;

@@ -20,6 +20,7 @@
 //! mechanically, plus the distribution helpers the simulator needs
 //! ([`dist`]: Bernoulli, exponential / Poisson inter-arrival, bounded
 //! Zipf, hot/cold draws, normal and Xavier init).
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

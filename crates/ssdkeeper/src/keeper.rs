@@ -16,9 +16,7 @@ use flash_sim::probe::{
     KeeperDecision, NullProbe, Probe, Tee, DECISION_CLASSES, DECISION_FEATURES,
 };
 use flash_sim::sim::Reallocation;
-use flash_sim::{
-    BackendKind, IoRequest, SimArena, SimBuilder, SimError, SimReport, SsdConfig, TenantLayout,
-};
+use flash_sim::{IoRequest, SimArena, SimBuilder, SimError, SimReport, SsdConfig, TenantLayout};
 use workloads::{IntensityScale, ObservedFeatures};
 
 /// Errors surfaced by [`Keeper::run`].
@@ -96,11 +94,6 @@ pub struct RunSpec<'a> {
     /// `probe` sees). Off by default: sessions that don't ask pay
     /// nothing.
     pub collect_metrics: bool,
-    /// Execution backend the session runs on: the deterministic
-    /// simulated-timing engine (the default) or real I/O against a
-    /// file/device. Policy decisions, probes, and metrics are
-    /// backend-agnostic.
-    pub backend: BackendKind,
     /// Buffer pool the engine is built from and reclaimed into; `None`
     /// builds from a fresh [`SimArena`] (the cold path). Callers replaying
     /// many sessions (the fleet shard loop) keep one arena per worker so
@@ -118,7 +111,6 @@ impl<'a> RunSpec<'a> {
             mode: RunMode::Fixed(strategy),
             probe: None,
             collect_metrics: false,
-            backend: BackendKind::Sim,
             arena: None,
         }
     }
@@ -131,7 +123,6 @@ impl<'a> RunSpec<'a> {
             mode: RunMode::AdaptOnce,
             probe: None,
             collect_metrics: false,
-            backend: BackendKind::Sim,
             arena: None,
         }
     }
@@ -144,7 +135,6 @@ impl<'a> RunSpec<'a> {
             mode: RunMode::Periodic { window_ns },
             probe: None,
             collect_metrics: false,
-            backend: BackendKind::Sim,
             arena: None,
         }
     }
@@ -165,12 +155,6 @@ impl<'a> RunSpec<'a> {
     /// [`RunOutcome::metrics`]); composes with [`RunSpec::with_probe`].
     pub fn with_metrics(mut self) -> Self {
         self.collect_metrics = true;
-        self
-    }
-
-    /// Selects the execution backend (default [`BackendKind::Sim`]).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -266,7 +250,6 @@ impl Keeper {
             mode,
             probe,
             collect_metrics,
-            backend,
             arena,
         } = spec;
         let mut null = NullProbe;
@@ -279,11 +262,11 @@ impl Keeper {
         if collect_metrics {
             let mut metrics = MetricsProbe::new(self.config.observe_window_ns);
             let mut tee = Tee::new(probe, &mut metrics);
-            let mut out = self.dispatch(trace, lpn_spaces, mode, &backend, &mut tee, arena)?;
+            let mut out = self.dispatch(trace, lpn_spaces, mode, &mut tee, arena)?;
             out.metrics = Some(metrics.into_summary());
             Ok(out)
         } else {
-            self.dispatch(trace, lpn_spaces, mode, &backend, probe, arena)
+            self.dispatch(trace, lpn_spaces, mode, probe, arena)
         }
     }
 
@@ -292,28 +275,24 @@ impl Keeper {
         trace: &[IoRequest],
         lpn_spaces: &[u64],
         mode: RunMode,
-        backend: &BackendKind,
         probe: &mut dyn Probe,
         arena: &mut SimArena,
     ) -> Result<RunOutcome, KeeperError> {
         match mode {
-            RunMode::Fixed(strategy) => {
-                self.run_fixed(trace, lpn_spaces, strategy, backend, probe, arena)
-            }
-            RunMode::AdaptOnce => self.run_adapt_once(trace, lpn_spaces, backend, probe, arena),
+            RunMode::Fixed(strategy) => self.run_fixed(trace, lpn_spaces, strategy, probe, arena),
+            RunMode::AdaptOnce => self.run_adapt_once(trace, lpn_spaces, probe, arena),
             RunMode::Periodic { window_ns } => {
-                self.run_periodic(trace, lpn_spaces, window_ns, backend, probe, arena)
+                self.run_periodic(trace, lpn_spaces, window_ns, probe, arena)
             }
         }
     }
 
     /// Executes a prepared session — layout plus time-ordered
-    /// reallocations — on the selected backend. Every mode funnels
-    /// through here; this is the single point where policy hands off to
-    /// command execution.
+    /// reallocations — on the simulator built from `arena`. Every mode
+    /// funnels through here; this is the single point where policy hands
+    /// off to command execution.
     fn execute(
         &self,
-        backend: &BackendKind,
         layout: TenantLayout,
         reallocations: Vec<Reallocation>,
         trace: &[IoRequest],
@@ -322,11 +301,13 @@ impl Keeper {
     ) -> Result<SimReport, KeeperError> {
         obs::span!("keeper_execute");
         obs::counter_add!("keeper.reallocs_planned", reallocations.len() as u64);
-        let mut be = SimBuilder::new(self.config.ssd.clone(), layout).build_backend(backend)?;
+        let mut sim = SimBuilder::new(self.config.ssd.clone(), layout)
+            .probe(probe)
+            .build_with_arena(arena)?;
         for r in reallocations {
-            be.schedule_reallocation(r)?;
+            sim.schedule_reallocation(r)?;
         }
-        Ok(be.run(trace, probe, arena)?)
+        Ok(sim.run_reclaim(trace, arena)?)
     }
 
     /// The probe-facing form of a decision: network input vector plus the
@@ -358,7 +339,6 @@ impl Keeper {
         trace: &[IoRequest],
         lpn_spaces: &[u64],
         strategy: Strategy,
-        backend: &BackendKind,
         probe: &mut dyn Probe,
         arena: &mut SimArena,
     ) -> Result<RunOutcome, KeeperError> {
@@ -367,7 +347,7 @@ impl Keeper {
         let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
         let layout =
             strategy.layout(&rw_chars, lpn_spaces, &self.config.ssd, self.config.hybrid)?;
-        let report = self.execute(backend, layout, Vec::new(), trace, probe, arena)?;
+        let report = self.execute(layout, Vec::new(), trace, probe, arena)?;
         Ok(RunOutcome {
             report,
             strategy,
@@ -383,7 +363,6 @@ impl Keeper {
         &self,
         trace: &[IoRequest],
         lpn_spaces: &[u64],
-        backend: &BackendKind,
         probe: &mut dyn Probe,
         arena: &mut SimArena,
     ) -> Result<RunOutcome, KeeperError> {
@@ -403,7 +382,7 @@ impl Keeper {
 
         // --- Phase 1 layout: Shared, static allocation. ---
         let layout = shared_layout(lpn_spaces, &self.config.ssd);
-        let report = self.execute(backend, layout, vec![realloc], trace, probe, arena)?;
+        let report = self.execute(layout, vec![realloc], trace, probe, arena)?;
         let decisions = vec![Decision {
             at_ns: t_ns,
             features: features.clone(),
@@ -432,7 +411,6 @@ impl Keeper {
         trace: &[IoRequest],
         lpn_spaces: &[u64],
         window_ns: u64,
-        backend: &BackendKind,
         probe: &mut dyn Probe,
         arena: &mut SimArena,
     ) -> Result<RunOutcome, KeeperError> {
@@ -500,7 +478,7 @@ impl Keeper {
         }
 
         drop(plan_span);
-        let report = self.execute(backend, layout, reallocations, trace, probe, arena)?;
+        let report = self.execute(layout, reallocations, trace, probe, arena)?;
         Ok(RunOutcome {
             report,
             strategy: current.unwrap_or(Strategy::Shared),

@@ -44,6 +44,7 @@
 //! let outcome = keeper.run(RunSpec::adapt_once(&trace, &[1 << 14; 4])).unwrap();
 //! println!("chose {} -> {:.1} us", outcome.strategy, outcome.report.total_latency_metric_us());
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allocator;

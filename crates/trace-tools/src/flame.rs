@@ -29,23 +29,25 @@ pub struct FoldedStacks {
 
 impl FoldedStacks {
     /// Wall-clock attributed to root frames (paths without `;`) — the
-    /// per-thread instrumented coverage denominator.
+    /// per-thread instrumented coverage denominator. Saturates at
+    /// `u64::MAX`: each path's total fits, but distinct roots can still
+    /// sum past it.
     pub fn root_ns(&self) -> u64 {
         self.totals
             .iter()
             .filter(|(p, _)| !p.contains(';'))
-            .map(|(_, v)| v)
-            .sum()
+            .fold(0u64, |acc, (_, &v)| acc.saturating_add(v))
     }
 
     /// Frames with self time computed: `self = total - Σ direct
     /// children`, saturating (clock jitter can make children sum
-    /// slightly past the parent).
+    /// slightly past the parent, and crafted input past `u64::MAX`).
     pub fn frames(&self) -> Vec<Frame> {
         let mut child_sum: BTreeMap<&str, u64> = BTreeMap::new();
         for (path, total) in &self.totals {
             if let Some((parent, _)) = path.rsplit_once(';') {
-                *child_sum.entry(parent).or_default() += total;
+                let sum = child_sum.entry(parent).or_default();
+                *sum = sum.saturating_add(*total);
             }
         }
         self.totals
@@ -71,8 +73,8 @@ impl FoldedStacks {
     }
 }
 
-/// Parses folded-stack text. Duplicate paths are summed. Errors name
-/// the 1-based line.
+/// Parses folded-stack text. Duplicate paths are summed; a sum that
+/// overflows `u64` is an error. Errors name the 1-based line.
 pub fn parse_folded(text: &str) -> Result<FoldedStacks, String> {
     let mut totals: BTreeMap<String, u64> = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
@@ -89,7 +91,10 @@ pub fn parse_folded(text: &str) -> Result<FoldedStacks, String> {
         let ns: u64 = value
             .parse()
             .map_err(|_| format!("line {line_no}: bad value `{value}`"))?;
-        *totals.entry(path.to_string()).or_default() += ns;
+        let total = totals.entry(path.to_string()).or_default();
+        *total = total
+            .checked_add(ns)
+            .ok_or_else(|| format!("line {line_no}: total for `{path}` overflows u64"))?;
     }
     if totals.is_empty() {
         return Err("no stacks: empty folded input (run with --features host-trace?)".into());
@@ -137,8 +142,8 @@ mod tests {
     const SAMPLE: &str = "\
 fleet_shard 1000\n\
 fleet_shard;keeper_run 800\n\
-fleet_shard;keeper_run;backend_sim 600\n\
-fleet_shard;keeper_run;backend_sim;sim_run 500\n\
+fleet_shard;keeper_run;keeper_execute 600\n\
+fleet_shard;keeper_run;keeper_execute;sim_run 500\n\
 sim_run 200\n";
 
     #[test]
@@ -159,9 +164,12 @@ sim_run 200\n";
         let by_path = |p: &str| frames.iter().find(|f| f.path == p).unwrap();
         assert_eq!(by_path("fleet_shard").self_ns, 200);
         assert_eq!(by_path("fleet_shard;keeper_run").self_ns, 200);
-        assert_eq!(by_path("fleet_shard;keeper_run;backend_sim").self_ns, 100);
         assert_eq!(
-            by_path("fleet_shard;keeper_run;backend_sim;sim_run").self_ns,
+            by_path("fleet_shard;keeper_run;keeper_execute").self_ns,
+            100
+        );
+        assert_eq!(
+            by_path("fleet_shard;keeper_run;keeper_execute;sim_run").self_ns,
             500
         );
         assert_eq!(by_path("sim_run").self_ns, 200);
@@ -188,7 +196,7 @@ sim_run 200\n";
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("5 paths"));
         assert!(
-            lines[3].ends_with("fleet_shard;keeper_run;backend_sim;sim_run"),
+            lines[3].ends_with("fleet_shard;keeper_run;keeper_execute;sim_run"),
             "{text}"
         );
         assert_eq!(lines.len(), 5, "top 2 rows only:\n{text}");
@@ -201,5 +209,25 @@ sim_run 200\n";
         assert!(err.starts_with("line 2:"), "{err}");
         let err = parse_folded("a ten\n").unwrap_err();
         assert!(err.contains("bad value"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_path_overflow_is_an_error() {
+        let err = parse_folded("a 18446744073709551615\na 1\n").unwrap_err();
+        assert_eq!(err, "line 2: total for `a` overflows u64");
+    }
+
+    #[test]
+    fn child_sum_overflow_saturates() {
+        let s = parse_folded("a 5\na;b 18446744073709551615\na;c 1\n").unwrap();
+        let frames = s.frames();
+        assert_eq!(frames.iter().find(|f| f.path == "a").unwrap().self_ns, 0);
+    }
+
+    #[test]
+    fn root_sum_overflow_saturates() {
+        let s = parse_folded("a 18446744073709551615\nb 1\n").unwrap();
+        assert_eq!(s.root_ns(), u64::MAX);
+        assert!(render_top(&s, 2).contains("2 paths"));
     }
 }

@@ -23,6 +23,8 @@
 //! fixed and floats print with pinned precision, which is what lets
 //! `scripts/verify.sh` keep a golden summary under `tests/golden/`.
 
+#![forbid(unsafe_code)]
+
 pub mod flame;
 pub mod json;
 pub mod live;

@@ -16,6 +16,7 @@
 //! web/src, small random writes for proxy/research servers). SSDKeeper's
 //! decisions depend only on the aggregate features the collector extracts,
 //! so this substitution preserves the experiments' shape (see DESIGN.md).
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod address;

@@ -11,6 +11,8 @@
 //!   strategy learner, channel allocator, and hybrid page allocator;
 //! * [`parallel`] — the scoped thread-pool used to fan out simulations.
 
+#![forbid(unsafe_code)]
+
 pub use ann;
 pub use flash_sim;
 pub use parallel;
