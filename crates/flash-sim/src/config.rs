@@ -191,9 +191,64 @@ impl SsdConfig {
             // GC needs at least one spare block to migrate into.
             return Err(ConfigError::ZeroField("blocks_per_plane (needs >= 2)"));
         }
+        // Probe events carry a tenant's channels as a u64 bit mask.
+        if self.channels > MAX_CHANNELS {
+            return Err(ConfigError::TooLarge {
+                what: "channels",
+                value: self.channels as u64,
+                max: MAX_CHANNELS as u64,
+            });
+        }
+        // Physical addresses hold chip, die and plane indices as u16.
+        for (what, n) in [
+            ("chips_per_channel", self.chips_per_channel),
+            ("dies_per_chip", self.dies_per_chip),
+            ("planes_per_die", self.planes_per_die),
+        ] {
+            if n > MAX_U16_INDEXED {
+                return Err(ConfigError::TooLarge {
+                    what,
+                    value: n as u64,
+                    max: MAX_U16_INDEXED as u64,
+                });
+            }
+        }
+        // Page ids are packed into a u32 whose u32::MAX marks an unmapped
+        // LPN, so the last page's id must stay below it. Checked
+        // multiplication: the product of six usize fields can overflow.
+        let pages = [
+            self.chips_per_channel,
+            self.dies_per_chip,
+            self.planes_per_die,
+            self.blocks_per_plane,
+            self.pages_per_block,
+        ]
+        .iter()
+        .try_fold(self.channels as u64, |acc, &n| acc.checked_mul(n as u64))
+        .unwrap_or(u64::MAX);
+        if pages > MAX_TOTAL_PAGES {
+            return Err(ConfigError::TooLarge {
+                what: "total pages",
+                value: pages,
+                max: MAX_TOTAL_PAGES,
+            });
+        }
         Ok(())
     }
 }
+
+/// Most channels a device may have: probe events record a tenant's
+/// channels as a `u64` bit mask.
+const MAX_CHANNELS: usize = 64;
+
+/// Most chips per channel, dies per chip, or planes per die: physical
+/// addresses hold each index as a `u16`.
+const MAX_U16_INDEXED: usize = u16::MAX as usize + 1;
+
+/// Most physical pages a device may have: page ids are packed into a
+/// `u32`, and `u32::MAX` marks an unmapped logical page, so the ids
+/// `0..total` must all stay below it.
+pub(crate) const MAX_TOTAL_PAGES: u64 = u32::MAX as u64;
 
 impl Default for SsdConfig {
     fn default() -> Self {
@@ -208,6 +263,20 @@ pub enum ConfigError {
     ZeroField(&'static str),
     /// The GC threshold is outside `[0, 1)`.
     BadGcThreshold(f64),
+    /// A dimension exceeds what the simulator's compact encodings can
+    /// address: at most 64 channels (probe channel masks are `u64`),
+    /// 65,536 chips per channel, dies per chip or planes per die
+    /// (addresses hold them as `u16`), and `u32::MAX` pages in all
+    /// (packed page ids are `u32`, with `u32::MAX` marking an unmapped
+    /// LPN).
+    TooLarge {
+        /// The field or derived quantity that is too large.
+        what: &'static str,
+        /// Its value (`u64::MAX` when it overflows a `u64`).
+        value: u64,
+        /// The largest supported value.
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -218,6 +287,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadGcThreshold(v) => {
                 write!(f, "gc_free_block_threshold must be in [0,1), got {v}")
+            }
+            ConfigError::TooLarge { what, value, max } => {
+                write!(f, "{what} is {value}, but at most {max} are supported")
             }
         }
     }
@@ -297,10 +369,103 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_more_than_64_channels() {
+        let at_limit = SsdConfig {
+            channels: 64,
+            ..SsdConfig::small_test()
+        };
+        at_limit.validate().unwrap();
+        let cfg = SsdConfig {
+            channels: 65,
+            ..SsdConfig::small_test()
+        };
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooLarge {
+                what: "channels",
+                value: 65,
+                max: 64
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_page_ids_that_reach_the_unmapped_marker() {
+        // 2^32 pages: the last page's packed id would equal u32::MAX.
+        let cfg = SsdConfig {
+            blocks_per_plane: 1 << 19,
+            ..SsdConfig::paper_table1()
+        };
+        assert_eq!(cfg.total_pages(), 1 << 32);
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooLarge {
+                what: "total pages",
+                value: 1 << 32,
+                max: u32::MAX as u64
+            })
+        );
+        // u32::MAX = 3 * 5 * 17 * 257 * 65537 pages: ids 0..u32::MAX - 1
+        // all stay below the marker.
+        let largest = SsdConfig {
+            channels: 3,
+            chips_per_channel: 5,
+            dies_per_chip: 17,
+            planes_per_die: 257,
+            blocks_per_plane: 65_537,
+            pages_per_block: 1,
+            ..SsdConfig::small_test()
+        };
+        assert_eq!(largest.total_pages(), u32::MAX as u64);
+        largest.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_dimensions_whose_product_overflows() {
+        let cfg = SsdConfig {
+            blocks_per_plane: usize::MAX / 2,
+            pages_per_block: usize::MAX / 2,
+            ..SsdConfig::small_test()
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::TooLarge {
+                what: "total pages",
+                value: u64::MAX,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_indices_wider_than_u16() {
+        let cfg = SsdConfig {
+            chips_per_channel: (1 << 16) + 1,
+            ..SsdConfig::small_test()
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::TooLarge {
+                what: "chips_per_channel",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn config_error_display_is_informative() {
         let e = ConfigError::ZeroField("channels");
         assert!(e.to_string().contains("channels"));
         let e = ConfigError::BadGcThreshold(2.0);
         assert!(e.to_string().contains("2"));
+        let e = ConfigError::TooLarge {
+            what: "channels",
+            value: 65,
+            max: 64,
+        };
+        assert_eq!(
+            e.to_string(),
+            "channels is 65, but at most 64 are supported"
+        );
     }
 }

@@ -38,9 +38,7 @@ pub struct GcCharge {
 /// block — even a fully valid one — so cold data stops pinning low-wear
 /// blocks out of the rotation.
 pub(super) fn collect_plane(ftl: &mut Ftl, plane: usize) -> Option<GcCharge> {
-    let pages_per_block = ftl.pages_per_block_internal();
-    let victim = pick_wear_victim(ftl, plane, pages_per_block)
-        .or_else(|| ftl.plane_mut(plane).greedy_victim())?;
+    let victim = pick_wear_victim(ftl, plane).or_else(|| ftl.plane_mut(plane).greedy_victim())?;
     // No index removal here: the victim's entries go stale when the erase
     // below bumps its erase count (and empties it), and the lazy cleanup
     // in victim selection discards them.
@@ -72,7 +70,7 @@ pub(super) fn collect_plane(ftl: &mut Ftl, plane: usize) -> Option<GcCharge> {
 /// threshold, returns the coldest (least-erased) full block so its data
 /// is migrated and the block rejoins the write rotation. Returns `None`
 /// when disabled (threshold 0) or the spread is within bounds.
-fn pick_wear_victim(ftl: &mut Ftl, plane: usize, _pages_per_block: usize) -> Option<usize> {
+fn pick_wear_victim(ftl: &mut Ftl, plane: usize) -> Option<usize> {
     let threshold = ftl.wear_threshold_internal();
     if threshold == 0 {
         return None;
@@ -269,7 +267,7 @@ mod tests {
         for lpn in 0..48 {
             let addr = ftl.translate_read(0, lpn, &layout).unwrap();
             let plane = ftl.geometry().plane_index(&addr);
-            match ftl.plane_ref(plane).blocks[addr.block as usize].pages[addr.page as usize] {
+            match ftl.plane_ref(plane).page(addr.block as usize, addr.page) {
                 PageState::Valid { tenant, lpn: l } => {
                     assert_eq!(tenant, 0);
                     assert_eq!(l, lpn);

@@ -41,8 +41,9 @@ pub enum PageState {
     Invalid,
 }
 
-/// One erase block.
-#[derive(Debug, Clone)]
+/// One erase block's counters. Its page states live in the owning
+/// plane's table ([`PlaneState::page`]).
+#[derive(Debug, Clone, Default)]
 pub struct BlockState {
     /// Write pointer: next free page index, `== pages_per_block` when full.
     /// Every page at or above it is `Free`.
@@ -51,20 +52,9 @@ pub struct BlockState {
     pub(crate) valid_count: u32,
     /// Lifetime erase count.
     pub(crate) erase_count: u32,
-    /// Per-page state.
-    pub(crate) pages: Vec<PageState>,
 }
 
 impl BlockState {
-    fn new(pages_per_block: usize) -> Self {
-        Self {
-            next_page: 0,
-            valid_count: 0,
-            erase_count: 0,
-            pages: vec![PageState::Free; pages_per_block],
-        }
-    }
-
     /// Whether the write pointer has reached the end of the block.
     pub fn is_full(&self, pages_per_block: usize) -> bool {
         self.next_page as usize >= pages_per_block
@@ -76,6 +66,12 @@ impl BlockState {
 pub struct PlaneState {
     /// All blocks in the plane.
     pub(crate) blocks: Vec<BlockState>,
+    /// Page states of blocks `0..touched`, block-major: page `p` of block
+    /// `b` is entry `b * pages_per_block + p`. The table grows with the
+    /// watermark in [`PlaneState::pop_free_block`], so a build costs
+    /// O(blocks) and a run pays only for the blocks it writes; a block at
+    /// or above the watermark has no entries and reads as `Free`.
+    pages: Vec<PageState>,
     /// Block currently receiving writes, if any.
     pub(crate) active_block: Option<usize>,
     /// Fully erased blocks available to become active.
@@ -112,9 +108,8 @@ pub struct PlaneState {
 impl PlaneState {
     fn new(cfg: &SsdConfig) -> Self {
         Self {
-            blocks: (0..cfg.blocks_per_plane)
-                .map(|_| BlockState::new(cfg.pages_per_block))
-                .collect(),
+            blocks: vec![BlockState::default(); cfg.blocks_per_plane],
+            pages: Vec::new(),
             active_block: None,
             free_blocks: (0..cfg.blocks_per_plane).rev().collect(),
             free_pages: (cfg.blocks_per_plane * cfg.pages_per_block) as u64,
@@ -221,36 +216,56 @@ impl PlaneState {
         self.max_erase - self.min_erase
     }
 
+    /// State of page `page` in block `block`; `Free` for a block at or
+    /// above the watermark, which has no table entries.
+    pub(crate) fn page(&self, block: usize, page: u32) -> PageState {
+        debug_assert!((page as usize) < self.bucket_pages_per_block());
+        self.pages
+            .get(self.page_slot(block, page))
+            .copied()
+            .unwrap_or(PageState::Free)
+    }
+
+    /// Index of page `page` of block `block` in the page table.
+    #[inline]
+    fn page_slot(&self, block: usize, page: u32) -> usize {
+        block * self.bucket_pages_per_block() + page as usize
+    }
+
     /// Takes the next block off the free list, raising the watermark past
-    /// it. The only way a block leaves the free list.
+    /// it and growing the page table to cover it. The only way a block
+    /// leaves the free list, so every block that can hold data is below
+    /// the watermark.
     #[inline]
     fn pop_free_block(&mut self) -> Option<usize> {
         let b = self.free_blocks.pop()?;
-        self.touched = self.touched.max(b + 1);
+        if b >= self.touched {
+            self.touched = b + 1;
+            let len = self.touched * self.bucket_pages_per_block();
+            self.pages.resize(len, PageState::Free);
+        }
         Some(b)
     }
 
     /// Restores the factory-fresh [`PlaneState::new`] state in place,
-    /// keeping the block, free-list, victim-bucket, and histogram
-    /// allocations. The plane's shape (block count, pages per block) must
-    /// be unchanged — [`Ftl::reset`] guarantees it via the geometry check.
+    /// keeping the block, page-table, free-list, victim-bucket, and
+    /// histogram allocations. The plane's shape (block count, pages per
+    /// block) must be unchanged — [`Ftl::reset`] guarantees it via the
+    /// geometry check.
     ///
     /// Costs O(blocks written since the last reset), not O(plane size):
     /// blocks at or above the `touched` watermark are already pristine,
-    /// and within a written block only the pages below its write pointer
-    /// can be non-`Free`. A plane nothing was written to is untouched
-    /// state, free list included, and returns at once.
+    /// and the page table is emptied without touching its entries (the
+    /// next run refills them as its watermark rises). A plane nothing was
+    /// written to is untouched state, free list included, and returns at
+    /// once.
     fn reset(&mut self) {
         if self.touched == 0 {
             return;
         }
         let blocks_per_plane = self.blocks.len();
-        for b in &mut self.blocks[..self.touched] {
-            b.pages[..b.next_page as usize].fill(PageState::Free);
-            b.next_page = 0;
-            b.valid_count = 0;
-            b.erase_count = 0;
-        }
+        self.blocks[..self.touched].fill(BlockState::default());
+        self.pages.clear();
         self.touched = 0;
         self.active_block = None;
         self.free_blocks.clear();
@@ -521,12 +536,10 @@ impl Ftl {
         let bi = bi as usize;
         let pages_per_block = self.pages_per_block;
         let state = &mut self.planes[plane];
+        let slot = state.page_slot(bi, page);
+        debug_assert!(matches!(state.pages[slot], PageState::Valid { .. }));
+        state.pages[slot] = PageState::Invalid;
         let block = &mut state.blocks[bi];
-        debug_assert!(matches!(
-            block.pages[page as usize],
-            PageState::Valid { .. }
-        ));
-        block.pages[page as usize] = PageState::Invalid;
         block.valid_count -= 1;
         // Re-index under the new valid count; the entry left in the old
         // bucket goes stale and is popped lazily at victim selection.
@@ -566,10 +579,11 @@ impl Ftl {
             }
         }
         let b = state.active_block.expect("just ensured an active block");
+        let page = state.blocks[b].next_page;
+        let slot = state.page_slot(b, page);
+        debug_assert!(matches!(state.pages[slot], PageState::Free));
+        state.pages[slot] = PageState::Valid { tenant, lpn };
         let block = &mut state.blocks[b];
-        let page = block.next_page;
-        debug_assert!(matches!(block.pages[page as usize], PageState::Free));
-        block.pages[page as usize] = PageState::Valid { tenant, lpn };
         block.next_page += 1;
         block.valid_count += 1;
         state.free_pages -= 1;
@@ -597,10 +611,6 @@ impl Ftl {
         (self.read_ns, self.write_ns, self.erase_ns)
     }
 
-    pub(crate) fn pages_per_block_internal(&self) -> usize {
-        self.pages_per_block
-    }
-
     pub(crate) fn wear_threshold_internal(&self) -> u32 {
         self.wear_leveling_threshold
     }
@@ -614,11 +624,10 @@ impl Ftl {
     pub(crate) fn erase_block_internal(&mut self, plane: usize, block: usize) {
         let pages_per_block = self.pages_per_block as u64;
         let state = &mut self.planes[plane];
+        let first = state.page_slot(block, 0);
         let b = &mut state.blocks[block];
         debug_assert_eq!(b.valid_count, 0, "erasing a block with live data");
-        for p in b.pages.iter_mut() {
-            *p = PageState::Free;
-        }
+        state.pages[first..first + b.next_page as usize].fill(PageState::Free);
         b.next_page = 0;
         let old_erase = b.erase_count;
         b.erase_count += 1;
@@ -648,9 +657,11 @@ impl Ftl {
             // Collect the live pages and invalidate the whole victim in
             // one pass over its pages. The victim is full, so it can
             // never be the active block the moves land on.
-            let block = &mut self.planes[plane].blocks[victim];
+            let state = &mut self.planes[plane];
+            let first = state.page_slot(victim, 0);
+            let block = &mut state.blocks[victim];
             debug_assert!(block.next_page as usize == pages_per_block);
-            for p in block.pages.iter_mut() {
+            for p in &mut state.pages[first..first + pages_per_block] {
                 if let PageState::Valid { tenant, lpn } = *p {
                     live.push((tenant, lpn));
                 }
@@ -689,10 +700,11 @@ impl Ftl {
             }
             let state = &mut self.planes[plane];
             let b = state.active_block.expect("just ensured an active block");
+            let page = state.blocks[b].next_page;
+            let slot = state.page_slot(b, page);
+            debug_assert!(matches!(state.pages[slot], PageState::Free));
+            state.pages[slot] = PageState::Valid { tenant, lpn };
             let block = &mut state.blocks[b];
-            let page = block.next_page;
-            debug_assert!(matches!(block.pages[page as usize], PageState::Free));
-            block.pages[page as usize] = PageState::Valid { tenant, lpn };
             block.next_page += 1;
             block.valid_count += 1;
             state.free_pages -= 1;
@@ -706,52 +718,54 @@ impl Ftl {
     /// Validates internal invariants; used by tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let ppb = self.pages_per_block;
         for (pi, plane) in self.planes.iter().enumerate() {
+            // The page table covers exactly the blocks below the reset
+            // watermark; every block at or above it is pristine and reads
+            // `Free`.
+            assert!(plane.touched <= plane.blocks.len());
+            assert_eq!(
+                plane.pages.len(),
+                plane.touched * ppb,
+                "plane {pi} page table does not match the watermark {}",
+                plane.touched
+            );
             let mut free_pages = 0u64;
-            for block in &plane.blocks {
-                let valid = block
-                    .pages
-                    .iter()
-                    .filter(|p| matches!(p, PageState::Valid { .. }))
-                    .count() as u32;
-                assert_eq!(valid, block.valid_count, "plane {pi} valid_count mismatch");
-                let free = block
-                    .pages
-                    .iter()
-                    .filter(|p| matches!(p, PageState::Free))
-                    .count() as u64;
-                free_pages += free;
-                // Pages below the write pointer must not be Free.
-                for (i, p) in block.pages.iter().enumerate() {
-                    if (i as u32) < block.next_page {
-                        assert!(!matches!(p, PageState::Free), "hole below write pointer");
+            for (bi, block) in plane.blocks.iter().enumerate() {
+                let mut valid = 0u32;
+                for i in 0..ppb as u32 {
+                    let p = plane.page(bi, i);
+                    valid += u32::from(matches!(p, PageState::Valid { .. }));
+                    free_pages += u64::from(p == PageState::Free);
+                    // Pages below the write pointer must not be Free.
+                    if i < block.next_page {
+                        assert!(p != PageState::Free, "hole below write pointer");
                     } else {
-                        assert!(matches!(p, PageState::Free), "data above write pointer");
+                        assert!(p == PageState::Free, "data above write pointer");
                     }
+                }
+                assert_eq!(valid, block.valid_count, "plane {pi} valid_count mismatch");
+                if bi >= plane.touched {
+                    assert!(
+                        block.next_page == 0
+                            && block.valid_count == 0
+                            && block.erase_count == 0
+                            && (0..ppb as u32).all(|i| plane.page(bi, i) == PageState::Free),
+                        "plane {pi} block {bi} above the watermark {} is not pristine",
+                        plane.touched
+                    );
                 }
             }
             assert_eq!(
                 free_pages, plane.free_pages,
                 "plane {pi} free_pages mismatch"
             );
-            // Every block at or above the reset watermark is pristine.
-            assert!(plane.touched <= plane.blocks.len());
-            for (bi, b) in plane.blocks.iter().enumerate().skip(plane.touched) {
-                assert!(
-                    b.next_page == 0
-                        && b.valid_count == 0
-                        && b.erase_count == 0
-                        && b.pages.iter().all(|p| matches!(p, PageState::Free)),
-                    "plane {pi} block {bi} above the watermark {} is not pristine",
-                    plane.touched
-                );
-            }
             // The victim index must cover exactly the full, non-active
             // blocks: after discarding stale entries, each bucket's live
             // keys are the `(erase, idx)` pairs of its blocks.
-            let mut expect = vec![std::collections::BTreeSet::new(); self.pages_per_block + 1];
+            let mut expect = vec![std::collections::BTreeSet::new(); ppb + 1];
             for (bi, b) in plane.blocks.iter().enumerate() {
-                if b.is_full(self.pages_per_block) && plane.active_block != Some(bi) {
+                if b.is_full(ppb) && plane.active_block != Some(bi) {
                     expect[b.valid_count as usize].insert((b.erase_count as u64) << 32 | bi as u64);
                 }
             }
@@ -783,7 +797,7 @@ impl Ftl {
             for (lpn, packed) in map.iter_mapped() {
                 let addr = self.geo.unpack_page(packed);
                 let plane = self.geo.plane_index(&addr);
-                match self.planes[plane].blocks[addr.block as usize].pages[addr.page as usize] {
+                match self.planes[plane].page(addr.block as usize, addr.page) {
                     PageState::Valid { tenant, lpn: l } => {
                         assert_eq!(tenant as usize, t);
                         assert_eq!(l, lpn);
@@ -917,9 +931,15 @@ mod tests {
                     (fb.next_page, fb.valid_count, fb.erase_count),
                     "plane {pi} block {bi} counters"
                 );
-                assert_eq!(wb.pages, fb.pages, "plane {pi} block {bi} pages");
+                let pages = |p: &PlaneState| {
+                    (0..warm.pages_per_block as u32)
+                        .map(|i| p.page(bi, i))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(pages(w), pages(f), "plane {pi} block {bi} pages");
             }
             assert_eq!(w.blocks.len(), f.blocks.len(), "plane {pi} block count");
+            assert_eq!(w.pages.len(), f.pages.len(), "plane {pi} page table");
             assert_eq!(w.active_block, f.active_block, "plane {pi} active block");
             assert_eq!(w.free_blocks, f.free_blocks, "plane {pi} free-list order");
             assert_eq!(w.free_pages, f.free_pages, "plane {pi} free pages");

@@ -65,8 +65,8 @@ impl Geometry {
             coords: Vec::new(),
         };
         debug_assert!(
-            geo.total_pages() <= u32::MAX as u64 + 1,
-            "device too large for packed page ids"
+            geo.total_pages() <= crate::config::MAX_TOTAL_PAGES,
+            "device too large for packed page ids; SsdConfig::validate rejects it"
         );
         geo.coords = (0..geo.total_planes())
             .map(|p| {

@@ -3,7 +3,8 @@
 //! The whole point of the per-unit command state + [`SimArena`] design is that
 //! (a) the steady-state event loop allocates nothing once warm, and (b) a
 //! rebuild out of a recycled arena allocates nothing at all. Both are
-//! asserted here with a counting `#[global_allocator]`: tracking is
+//! asserted here with a counting `#[global_allocator]`, as is (c): a cold
+//! build allocates per plane, not per block or page. Tracking is
 //! thread-local, so the harness's parallel test threads never pollute a
 //! tracked window.
 
@@ -19,6 +20,7 @@ thread_local! {
     static TRACK: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static MAX_REQUEST: Cell<usize> = const { Cell::new(0) };
+    static TOTAL_BYTES: Cell<u64> = const { Cell::new(0) };
     static IN_HOOK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -30,6 +32,7 @@ fn note_alloc(size: usize) {
         if t.get() && !IN_HOOK.with(|g| g.get()) {
             let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
             let _ = MAX_REQUEST.try_with(|m| m.set(m.get().max(size)));
+            let _ = TOTAL_BYTES.try_with(|b| b.set(b.get() + size as u64));
             IN_HOOK.with(|g| g.set(true));
             if std::env::var_os("ALLOC_DEBUG").is_some() {
                 eprintln!("{}", std::backtrace::Backtrace::force_capture());
@@ -69,12 +72,25 @@ fn tracked<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 /// [`tracked`], plus the largest single request in bytes.
 fn tracked_with_max<R>(f: impl FnOnce() -> R) -> (R, u64, usize) {
+    let (r, allocs, max, _) = tracked_with_bytes(f);
+    (r, allocs, max)
+}
+
+/// [`tracked_with_max`], plus the bytes requested in total (a realloc
+/// counts its new size).
+fn tracked_with_bytes<R>(f: impl FnOnce() -> R) -> (R, u64, usize, u64) {
     ALLOCS.with(|c| c.set(0));
     MAX_REQUEST.with(|m| m.set(0));
+    TOTAL_BYTES.with(|b| b.set(0));
     TRACK.with(|t| t.set(true));
     let r = f();
     TRACK.with(|t| t.set(false));
-    (r, ALLOCS.with(|c| c.get()), MAX_REQUEST.with(|m| m.get()))
+    (
+        r,
+        ALLOCS.with(|c| c.get()),
+        MAX_REQUEST.with(|m| m.get()),
+        TOTAL_BYTES.with(|b| b.get()),
+    )
 }
 
 fn small_cfg() -> SsdConfig {
@@ -250,5 +266,27 @@ fn corrupt_event_count_does_not_drive_the_reservation() {
     assert!(
         max_request <= 4096,
         "decoding a 24-byte header requested {max_request} bytes at once"
+    );
+}
+
+/// A cold build of the sweep device (64 planes x 256 blocks x 128 pages,
+/// 2 Mi pages) must cost O(blocks), not O(pages): page state is only
+/// allocated for blocks a run takes off a plane's free list, so a build
+/// that writes nothing allocates a few buffers per plane plus the
+/// tenants' mapping tables.
+#[test]
+fn cold_build_allocates_per_plane_not_per_page() {
+    let cfg = SsdConfig::scaled_for_sweeps();
+    let layout = TenantLayout::shared(4, &cfg).with_lpn_space_all(4_096);
+    let (sim, allocs, _, bytes) = tracked_with_bytes(|| {
+        SimBuilder::new(cfg, layout)
+            .build_with_arena(&mut SimArena::new())
+            .expect("valid device")
+    });
+    drop(sim);
+    assert!(allocs < 1_000, "cold build made {allocs} heap allocations");
+    assert!(
+        bytes < 2 << 20,
+        "cold build requested {bytes} bytes in total"
     );
 }

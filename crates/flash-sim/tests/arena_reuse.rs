@@ -5,11 +5,12 @@
 //! SSDP probe capture versus a fresh build — and error contracts like
 //! command-slot exhaustion must hold on reused arenas too.
 //!
-//! The FTL's warm reset only rewrites the blocks the previous run took
-//! off a plane's free list (a per-plane watermark), so the fixtures below
-//! dirty arenas with runs of very different footprints — full-device GC,
-//! a handful of pages, a run that dies with a full plane — and check the
-//! next run cannot tell.
+//! The FTL's warm reset only clears the blocks the previous run took off
+//! a plane's free list (a per-plane watermark) and empties the plane's
+//! page table, which the next run regrows over the old entries as its
+//! own watermark rises. So the fixtures below dirty arenas with runs of
+//! very different footprints — full-device GC, a handful of pages, a run
+//! that dies with a full plane — and check the next run cannot tell.
 
 use flash_sim::ftl::FtlError;
 use flash_sim::{

@@ -117,3 +117,23 @@ fn bad_reallocation_renders_its_reason() {
     };
     assert_eq!(err.to_string(), "bad reallocation: tenant 7 out of range");
 }
+
+/// A device with 2^32 pages cannot pack its last page id below the
+/// unmapped marker; the build refuses it with a typed configuration
+/// error instead of aliasing pages.
+#[test]
+fn build_rejects_a_device_whose_page_ids_overflow() {
+    let cfg = SsdConfig {
+        blocks_per_plane: 1 << 19,
+        ..SsdConfig::paper_table1()
+    };
+    let Err(err) =
+        SimBuilder::new(cfg.clone(), layout(&cfg)).build_with_arena(&mut SimArena::new())
+    else {
+        panic!("a 2^32-page device must be rejected");
+    };
+    assert_eq!(
+        err.to_string(),
+        "configuration error: total pages is 4294967296, but at most 4294967295 are supported"
+    );
+}

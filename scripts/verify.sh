@@ -22,17 +22,21 @@ else
 fi
 
 # Allocation-discipline gate: a counting global allocator asserts the
-# steady-state event loop allocates nothing after warmup, and that a
-# full rebuild+rerun out of a recycled SimArena performs zero heap
-# allocations. Runs in the workspace pass above too; kept explicit so a
-# failure names the memory-discipline contract.
+# steady-state event loop allocates nothing after warmup, that a full
+# rebuild+rerun out of a recycled SimArena performs zero heap
+# allocations, and that a cold scaled_for_sweeps build allocates per
+# plane, not per page (under 1,000 allocations and 2 MiB requested,
+# where an eager page table made ~16.7k and 34.6 MB). Runs in the
+# workspace pass above too; kept explicit so a failure names the
+# memory-discipline contract.
 echo "==> zero-warm-allocation check (alloc_discipline)"
 cargo test -q --offline -p flash-sim --test alloc_discipline
 
 # Warm-reset equivalence gate: a simulator built out of a recycled
 # SimArena must report and capture byte-identically to a fresh build.
-# The FTL's reset only rewrites the blocks the previous run took off each
-# plane's free list, so this suite dirties arenas with runs of very
+# The FTL's reset only clears the blocks the previous run took off each
+# plane's free list and regrows page state as the next run takes them
+# again, so this suite dirties arenas with runs of very
 # different footprints (full-device GC, a few pages, a run that dies on a
 # full plane) before each warm run. Runs in the workspace pass above too;
 # kept explicit so a failure names the reset contract.
