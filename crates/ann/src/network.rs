@@ -429,8 +429,8 @@ mod tests {
         let mut preds = Vec::new();
         net.predict_batch_into(&x, &mut scratch, &mut preds);
         assert_eq!(preds.len(), 17);
-        for i in 0..x.rows() {
-            assert_eq!(preds[i], net.predict_one(x.row(i)));
+        for (i, &pred) in preds.iter().enumerate() {
+            assert_eq!(pred, net.predict_one(x.row(i)));
         }
     }
 

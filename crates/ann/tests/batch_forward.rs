@@ -55,8 +55,9 @@ fn batched_forward_is_bit_identical_to_row_by_row() {
             }
         }
         let preds = net.predict_batch(&x, &mut scratch);
-        for i in 0..rows {
-            assert_eq!(preds[i], net.predict_one(x.row(i)), "arg-max drifted");
+        assert_eq!(preds.len(), rows);
+        for (i, &pred) in preds.iter().enumerate() {
+            assert_eq!(pred, net.predict_one(x.row(i)), "arg-max drifted");
         }
     }
 }

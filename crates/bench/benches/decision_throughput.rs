@@ -109,7 +109,7 @@ fn farm_spec() -> DatasetSpec {
 fn main() {
     let iters = env_usize("SSDKEEPER_BENCH_ITERS", 5).max(1);
     let warmup = env_usize("SSDKEEPER_BENCH_WARMUP", 1);
-    let strict = std::env::var("SSDKEEPER_BENCH_STRICT").map_or(false, |v| v == "1");
+    let strict = std::env::var("SSDKEEPER_BENCH_STRICT").is_ok_and(|v| v == "1");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // --- Decisions ------------------------------------------------------

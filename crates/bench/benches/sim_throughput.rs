@@ -419,7 +419,7 @@ fn main() {
 
     let rerun_workload = warm_rerun_workload();
     let rerun = measure_warm_rerun(&rerun_workload, iters, warmup);
-    if std::env::var("SSDKEEPER_BENCH_STRICT").map_or(false, |v| v != "0") {
+    if std::env::var("SSDKEEPER_BENCH_STRICT").is_ok_and(|v| v != "0") {
         assert!(
             rerun.speedup >= 1.3,
             "sim_throughput: FAIL - warm arena rerun only {:.2}x faster than cold \
@@ -432,7 +432,7 @@ fn main() {
         );
     }
 
-    if std::env::var("SSDKEEPER_BENCH_PROBE").map_or(false, |v| v == "1") {
+    if std::env::var("SSDKEEPER_BENCH_PROBE").is_ok_and(|v| v == "1") {
         let w = &workloads[0];
         for _ in 0..warmup {
             black_box(run_once_recorded(w));
@@ -517,6 +517,8 @@ fn write_json(
         let p = &r.phases;
         // Field order is load-bearing: `baseline` precedes `current` so
         // stored_baseline's forward scan stays inside this workload.
+        // The warm_rerun entry always follows, so every workload entry
+        // ends in a joining comma.
         let _ = write!(
             body,
             "    \"{}\": {{\n      \"requests\": {},\n      \"geometry\": \"{}\",\n      \
@@ -527,7 +529,7 @@ fn write_json(
              \"phases\": {{\n        \"wait_unit\": {},\n        \"array\": {},\n        \
              \"wait_bus\": {},\n        \"transfer\": {},\n        \"gc_exec\": {},\n        \
              \"queue_depth\": {{ \"mean\": {:.2}, \"p50\": {}, \"p99\": {} }}\n      }},\n      \
-             \"speedup_vs_baseline\": {speedup:.3}\n    }}{}\n",
+             \"speedup_vs_baseline\": {speedup:.3}\n    }},\n",
             w.name,
             w.trace.len(),
             w.geometry,
@@ -539,9 +541,6 @@ fn write_json(
             p.queue_depth.mean(),
             p.queue_depth.percentile(0.50),
             p.queue_depth.percentile(0.99),
-            // The warm_rerun entry always follows, so every workload
-            // entry takes a joining comma.
-            ",",
         );
         println!(
             "sim_throughput: {} speedup vs baseline: {speedup:.3}x",

@@ -1,6 +1,8 @@
 //! Algorithm 1's data collection: generates labelled (features → best
 //! strategy) samples by sweeping all 42 strategies per synthetic mixed
-//! workload, and writes them to a text file.
+//! workload, and writes them to a text file. Prints on stderr how many
+//! isolation-group runs the sweeps took next to the naive 42 full runs
+//! per sample.
 //!
 //! ```text
 //! cargo run --release -p exp --bin dataset [--samples 800] [--requests 2000] \
@@ -34,11 +36,20 @@ fn main() {
     );
     let learner = Learner::new(spec);
     let t = Instant::now();
-    let dataset = learner.generate_dataset(seed);
+    let (dataset, sweep) = learner.generate_dataset_sized(seed);
     eprintln!(
         "labelled {} samples in {:?}",
         dataset.samples.len(),
         t.elapsed()
+    );
+    eprintln!(
+        "label sweep: {} isolation-group runs simulating {} requests \
+         (naive: {} = 42 x {} full runs, {} requests)",
+        sweep.group_runs,
+        sweep.group_requests,
+        sweep.joint_runs,
+        dataset.samples.len(),
+        sweep.joint_requests
     );
 
     std::fs::write(&out, dataset.to_text()).expect("write dataset file");

@@ -7,7 +7,7 @@
 //!     [--samples 800] [--epochs 200] [--fig2-requests 20000] [--fig5-requests 100000]
 //! ```
 //!
-//! `--quick` shrinks every knob for a minutes-scale smoke run.
+//! `--quick` shrinks every knob for a seconds-scale smoke run.
 
 use exp::args::Args;
 use exp::{conflict, fig2, fig4, fig5, fig6, traces};

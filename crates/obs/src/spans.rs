@@ -283,7 +283,7 @@ mod tests {
         let first = drain();
         assert_eq!(first.paths.get("t_clear_root").unwrap().count, 1);
         let second = drain();
-        assert!(second.paths.get("t_clear_root").is_none());
+        assert!(!second.paths.contains_key("t_clear_root"));
         {
             let _a = enter("t_clear_root");
         }
@@ -345,7 +345,7 @@ mod tests {
         }
         let mid = drain();
         assert_eq!(mid.paths.get("t_open_root;t_open_inner").unwrap().count, 1);
-        assert!(mid.paths.get("t_open_root").is_none());
+        assert!(!mid.paths.contains_key("t_open_root"));
         drop(g);
         let after = drain();
         assert_eq!(after.paths.get("t_open_root").unwrap().count, 1);

@@ -1,13 +1,17 @@
 //! Label generation (Algorithm 1, lines 3–8).
 //!
-//! For a mixed workload, run the simulator once per strategy in the space
-//! and select the strategy with the lowest total response latency (mean
-//! read + mean write, the §III-B metric) as the training label. The
-//! per-strategy runs are independent, so they fan out over
-//! [`parallel::par_map`].
+//! For a mixed workload, evaluate every strategy in the space and select
+//! the strategy with the lowest total response latency (mean read + mean
+//! write, the §III-B metric) as the training label. [`evaluate_all`]
+//! gets every strategy's metric by simulating each channel-isolated
+//! tenant group once; the group runs are independent, so they fan out
+//! over [`parallel::par_map_init`].
 
 use crate::strategy::Strategy;
-use flash_sim::{IoRequest, SimArena, SimBuilder, SimError, SimReport, SsdConfig};
+use flash_sim::{
+    IoRequest, LatencyStats, PageAllocPolicy, SimArena, SimBuilder, SimError, SimReport, SsdConfig,
+    TenantLayout,
+};
 use parallel::PoolConfig;
 use workloads::ObservedFeatures;
 
@@ -94,38 +98,262 @@ pub fn run_under_strategy(
 ///
 /// The tenants' read/write characteristics are taken from the whole
 /// trace, exactly as the offline label generator would observe them.
+/// Every row equals a [`run_under_strategy`] run of that strategy bit for
+/// bit; the sweep gets there by simulating each distinct isolation group
+/// once (see [`evaluate_all_sized`]). Fails if any strategy's layout is
+/// rejected or any of its runs fails.
 pub fn evaluate_all(
     trace: &[IoRequest],
     tenants: usize,
     lpn_spaces: &[u64],
     eval: &EvalConfig,
 ) -> Result<Vec<StrategyEval>, SimError> {
+    evaluate_all_sized(trace, tenants, lpn_spaces, eval).map(|(rows, _)| rows)
+}
+
+/// [`evaluate_all`] plus the size of the sweep it ran.
+///
+/// Within one strategy, tenants whose channel sets overlap (directly or
+/// through another tenant) form an *isolation group*; different groups
+/// share no channel, so no unit, bus, plane, queue or mapping table
+/// either, and a group's latencies do not depend on the other groups'
+/// requests. Shared is one group, a two-part split is its write group and
+/// its read group, and `Isolated` and every four-part split are one group
+/// per tenant. A group's latencies are a function of its tenants and,
+/// per tenant, the page-allocation policy, logical space and channel
+/// list relabelled to ranks within the group's channels (channels are
+/// identical resources, so translating a group to other channels changes
+/// nothing). The sweep simulates each such key once, on the trace
+/// filtered to the group's tenants, and assembles every strategy's row by
+/// merging its groups' read and write statistics. Latency sums and counts
+/// are integers, so the merged means are the joint run's bit for bit.
+/// DESIGN.md §6d lists the simulator invariants this rests on.
+///
+/// The group runs fan out over the config's pool, largest first, one
+/// [`SimArena`] and one filtered trace buffer per worker; each run is a
+/// pure function of its group, so the rows do not depend on the worker
+/// count.
+///
+/// # Panics
+///
+/// Panics unless `lpn_spaces` has one entry per tenant.
+pub fn evaluate_all_sized(
+    trace: &[IoRequest],
+    tenants: usize,
+    lpn_spaces: &[u64],
+    eval: &EvalConfig,
+) -> Result<(Vec<StrategyEval>, SweepSize), SimError> {
+    let strategies = Strategy::all_for_tenants(tenants);
+    let (runs, rows) = plan_groups(trace, tenants, lpn_spaces, eval, &strategies)?;
+    let size = SweepSize {
+        group_runs: runs.len() as u64,
+        group_requests: runs.iter().map(|r| r.requests as u64).sum(),
+        joint_runs: strategies.len() as u64,
+        joint_requests: (strategies.len() * trace.len()) as u64,
+    };
+    obs::counter_add!("label.group_runs", size.group_runs);
+    obs::counter_add!("label.group_requests", size.group_requests);
+    obs::counter_add!("label.joint_runs", size.joint_runs);
+    obs::counter_add!("label.joint_requests", size.joint_requests);
+
+    let mut order: Vec<usize> = (0..runs.len()).collect();
+    order.sort_by_key(|&r| std::cmp::Reverse(runs[r].requests));
+    let done = parallel::par_map_init(
+        &eval.pool,
+        &order,
+        || (SimArena::new(), Vec::new()),
+        |(arena, filtered), _, &r| run_group(trace, eval, &runs[r], arena, filtered),
+    );
+    let mut stats: Vec<_> = order.into_iter().zip(done).collect();
+    stats.sort_unstable_by_key(|&(r, _)| r);
+
+    let mut evals = Vec::with_capacity(strategies.len());
+    for (strategy, row) in strategies.into_iter().zip(rows) {
+        let mut read = LatencyStats::new();
+        let mut write = LatencyStats::new();
+        for r in row {
+            let (r, w) = stats[r].1.as_ref().map_err(Clone::clone)?;
+            read.merge(r);
+            write.merge(w);
+        }
+        evals.push(StrategyEval {
+            strategy,
+            read_us: read.mean_us(),
+            write_us: write.mean_us(),
+            // The same sum `SimReport::total_latency_metric_us` forms.
+            metric_us: read.mean_us() + write.mean_us(),
+        });
+    }
+    Ok((evals, size))
+}
+
+/// How much simulation a label sweep performs, next to the naive sweep
+/// that runs the whole trace once per strategy. Sizes of several sweeps
+/// add up with `+=`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepSize {
+    /// Distinct isolation-group runs simulated.
+    pub group_runs: u64,
+    /// Requests those runs simulate in total.
+    pub group_requests: u64,
+    /// Runs of the naive sweep: one per strategy.
+    pub joint_runs: u64,
+    /// Requests of the naive sweep: the whole trace per strategy.
+    pub joint_requests: u64,
+}
+
+impl std::ops::AddAssign for SweepSize {
+    fn add_assign(&mut self, o: SweepSize) {
+        self.group_runs += o.group_runs;
+        self.group_requests += o.group_requests;
+        self.joint_runs += o.joint_runs;
+        self.joint_requests += o.joint_requests;
+    }
+}
+
+/// One distinct isolation group: the tenants it holds and the layout it
+/// runs under (that of the first strategy that produced it).
+#[derive(Debug)]
+struct GroupRun {
+    /// What the group's latencies are a function of (see [`group_key`]).
+    key: Vec<u64>,
+    /// `members[t]`: whether tenant `t` belongs to the group.
+    members: Vec<bool>,
+    layout: TenantLayout,
+    /// Requests of the trace the group's tenants issue.
+    requests: usize,
+}
+
+/// The distinct isolation groups of `strategies` on `trace`, and per
+/// strategy the indices of the groups that make up its row. Fails like
+/// the first failing strategy's run would when the trace is invalid or a
+/// strategy's channel lists are rejected.
+fn plan_groups(
+    trace: &[IoRequest],
+    tenants: usize,
+    lpn_spaces: &[u64],
+    eval: &EvalConfig,
+    strategies: &[Strategy],
+) -> Result<(Vec<GroupRun>, Vec<Vec<usize>>), SimError> {
     let obs = ObservedFeatures::collect(trace, tenants, u64::MAX);
     let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
-    let strategies = Strategy::all_for_tenants(tenants);
-
-    // One arena per pool worker: each worker recycles a single simulator
-    // allocation pool across every strategy it claims, so only its first
-    // run pays for buffer construction (with one worker, one arena serves
-    // the whole sweep).
-    let results = parallel::par_map_init(
-        &eval.pool,
-        &strategies,
-        SimArena::new,
-        |arena, _, &strategy| {
-            run_under_strategy(trace, strategy, &rw_chars, lpn_spaces, eval, arena).map(|report| {
-                let row = StrategyEval {
-                    strategy,
-                    read_us: report.read.mean_us(),
-                    write_us: report.write.mean_us(),
-                    metric_us: report.total_latency_metric_us(),
-                };
-                arena.recycle_report(report);
-                row
-            })
-        },
+    assert_eq!(
+        rw_chars.len(),
+        lpn_spaces.len(),
+        "one char and space per tenant"
     );
-    results.into_iter().collect()
+    flash_sim::validate_trace(trace, tenants)?;
+    let mut per_tenant = vec![0usize; tenants];
+    for r in trace {
+        per_tenant[r.tenant as usize] += 1;
+    }
+    let mut runs: Vec<GroupRun> = Vec::new();
+    let mut rows = Vec::with_capacity(strategies.len());
+    for strategy in strategies {
+        let layout = strategy.layout(&rw_chars, lpn_spaces, &eval.ssd, eval.hybrid)?;
+        let groups = isolation_groups(&layout, eval.ssd.channels);
+        let mut row = Vec::new();
+        for (g, &lowest) in groups.iter().enumerate() {
+            if lowest != g {
+                continue; // not the group's lowest tenant
+            }
+            let members: Vec<bool> = groups.iter().map(|&h| h == g).collect();
+            let key = group_key(&layout, &members);
+            let run = match runs.iter().position(|r| r.key == key) {
+                Some(run) => run,
+                None => {
+                    let requests = (0..tenants)
+                        .filter(|&t| members[t])
+                        .map(|t| per_tenant[t])
+                        .sum();
+                    runs.push(GroupRun {
+                        key,
+                        members,
+                        layout: layout.clone(),
+                        requests,
+                    });
+                    runs.len() - 1
+                }
+            };
+            row.push(run);
+        }
+        rows.push(row);
+    }
+    Ok((runs, rows))
+}
+
+/// One group's read and write statistics: its layout run on the trace
+/// filtered (stably) to its tenants.
+fn run_group(
+    trace: &[IoRequest],
+    eval: &EvalConfig,
+    run: &GroupRun,
+    arena: &mut SimArena,
+    filtered: &mut Vec<IoRequest>,
+) -> Result<(LatencyStats, LatencyStats), SimError> {
+    filtered.clear();
+    filtered.extend(trace.iter().filter(|r| run.members[r.tenant as usize]));
+    let report = SimBuilder::new(eval.ssd.clone(), run.layout.clone())
+        .build_with_arena(arena)?
+        .run_reclaim(filtered, arena)?;
+    let stats = (report.read.clone(), report.write.clone());
+    arena.recycle_report(report);
+    Ok(stats)
+}
+
+/// Each tenant's isolation group, named by the group's lowest tenant:
+/// the connected components of channel-set overlap.
+fn isolation_groups(layout: &TenantLayout, channels: usize) -> Vec<usize> {
+    let n = layout.tenant_count();
+    let mut group: Vec<usize> = (0..n).collect();
+    for ch in 0..channels {
+        let owners: Vec<usize> = (0..n)
+            .filter(|&t| layout.tenant(t).channels.contains(ch))
+            .map(|t| group[t])
+            .collect();
+        let Some(&to) = owners.iter().min() else {
+            continue;
+        };
+        for g in &mut group {
+            if owners.contains(g) {
+                *g = to;
+            }
+        }
+    }
+    group
+}
+
+/// What a group's latencies are a function of, flattened: per member
+/// tenant, its index, policy, logical space and channel list relabelled
+/// to ranks within the group's channels.
+fn group_key(layout: &TenantLayout, members: &[bool]) -> Vec<u64> {
+    let mut used: Vec<u16> = Vec::new();
+    for (t, state) in layout.iter().enumerate() {
+        if members[t] {
+            used.extend_from_slice(state.channels.channels());
+        }
+    }
+    used.sort_unstable();
+    used.dedup();
+    let mut key = Vec::new();
+    for (t, state) in layout.iter().enumerate() {
+        if !members[t] {
+            continue;
+        }
+        let channels = state.channels.channels();
+        key.extend([
+            t as u64,
+            u64::from(state.policy == PageAllocPolicy::Dynamic),
+            state.lpn_space,
+            channels.len() as u64,
+        ]);
+        key.extend(
+            channels
+                .iter()
+                .map(|c| used.binary_search(c).expect("member channel") as u64),
+        );
+    }
+    key
 }
 
 /// The argmin-latency strategy (ties go to the earlier index, i.e. the

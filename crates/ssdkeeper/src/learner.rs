@@ -10,7 +10,9 @@
 
 use crate::allocator::{ChannelAllocator, DecisionScratch};
 use crate::features::{FeatureVector, FEATURE_DIM, TENANTS};
-use crate::label::{best_strategy_with_tolerance, evaluate_all, EvalConfig, DOMAIN_LABEL_SAMPLE};
+use crate::label::{
+    best_strategy_with_tolerance, evaluate_all_sized, EvalConfig, SweepSize, DOMAIN_LABEL_SAMPLE,
+};
 use crate::strategy::Strategy;
 use ann::prelude::*;
 use ann::train::TrainHistory;
@@ -431,33 +433,49 @@ impl Learner {
     /// Labels one mixed workload: evaluates every strategy and returns the
     /// sample (Algorithm 1, one loop iteration).
     pub fn label_workload(&self, trace: &[IoRequest]) -> LabelledSample {
+        self.label_workload_sized(trace).0
+    }
+
+    /// [`Learner::label_workload`] plus the size of the sweep it ran.
+    fn label_workload_sized(&self, trace: &[IoRequest]) -> (LabelledSample, SweepSize) {
         let lpn_spaces = vec![self.spec.lpn_space; TENANTS];
-        let evals = evaluate_all(trace, TENANTS, &lpn_spaces, &self.spec.eval)
+        let (evals, size) = evaluate_all_sized(trace, TENANTS, &lpn_spaces, &self.spec.eval)
             .expect("synthetic workloads stay within device capacity");
         let best = best_strategy_with_tolerance(&evals, self.spec.label_tolerance);
         let features = FeatureVector::from_trace(trace, TENANTS, self.spec.max_total_iops);
-        LabelledSample {
+        let sample = LabelledSample {
             features,
             label: best.strategy.index(TENANTS),
             best: best.strategy,
             best_metric_us: best.metric_us,
             metrics_us: evals.iter().map(|e| e.metric_us).collect(),
-        }
+        };
+        (sample, size)
     }
 
     /// Generates the full labelled dataset (Algorithm 1, lines 3–8).
     pub fn generate_dataset(&self, seed: u64) -> LabelledDataset {
+        self.generate_dataset_sized(seed).0
+    }
+
+    /// [`Learner::generate_dataset`] plus the summed size of its label
+    /// sweeps.
+    pub fn generate_dataset_sized(&self, seed: u64) -> (LabelledDataset, SweepSize) {
         let mut rng = simrng::SimRng::seed_from_u64(seed);
+        let mut size = SweepSize::default();
         let samples = (0..self.spec.samples)
             .map(|_| {
                 let (trace, _) = self.sample_mixed_workload(&mut rng);
-                self.label_workload(&trace)
+                let (sample, sweep) = self.label_workload_sized(&trace);
+                size += sweep;
+                sample
             })
             .collect();
-        LabelledDataset {
+        let dataset = LabelledDataset {
             samples,
             max_total_iops: self.spec.max_total_iops,
-        }
+        };
+        (dataset, size)
     }
 
     /// The parallel label farm: generates and labels the dataset by
@@ -702,7 +720,7 @@ mod tests {
             format!("ssdk-dataset-v2 1 NaN\n{row};0;\n"),
             format!("ssdk-dataset-v2 1 inf\n{row};0;\n"),
             format!("ssdk-dataset-v2 1 0\n{row};0;\n"),
-            format!("ssdk-dataset-v2 1 120000\nNaN,0,1,0,1,0.25,0.25,0.25,0.25;0;\n"),
+            "ssdk-dataset-v2 1 120000\nNaN,0,1,0,1,0.25,0.25,0.25,0.25;0;\n".to_string(),
             format!("ssdk-dataset-v2 1 120000\n{row};0;1.0,inf\n"),
         ] {
             assert!(

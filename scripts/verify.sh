@@ -12,11 +12,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
-# Lint gate: the workspace must be clippy-clean at -D warnings (skipped
-# only where the component isn't installed).
+# Lint gate: the workspace must be clippy-clean at -D warnings, tests,
+# benches and examples included (skipped only where the component isn't
+# installed).
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --workspace -- -D warnings"
-    cargo clippy --workspace --offline -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 else
     echo "==> cargo clippy not installed; skipping lint gate"
 fi
@@ -107,6 +108,29 @@ if [ "$fleet_w1" != "$fleet_w4" ] || [ -z "$fleet_w1" ]; then
 fi
 echo "    $fleet_w1 (identical at both worker counts)"
 
+# Dataset pin: the label sweep simulates each channel-isolated tenant
+# group once and merges group statistics into every strategy's row
+# (DESIGN.md §6d, "Isolation groups"). The quick dataset must stay
+# byte-identical to the one the per-strategy full-trace sweep wrote, at
+# one worker and at two (the group runs fan out over the pool).
+echo "==> dataset pin (dataset --quick --seed 3, 1 and 2 workers)"
+ds_dir="$(pwd)/target/dataset_verify"
+mkdir -p "$ds_dir"
+ds_want=$(cat tests/golden/dataset_quick.sha256)
+for w in 1 2; do
+    ./target/release/dataset --quick --seed 3 --workers "$w" \
+        --out "$ds_dir/dataset_w$w.txt" > /dev/null 2> "$ds_dir/dataset_w$w.log"
+    ds_got=$(sha256sum "$ds_dir/dataset_w$w.txt" | cut -d' ' -f1)
+    if [ "$ds_got" != "$ds_want" ]; then
+        echo "verify: FAIL - dataset --quick --seed 3 --workers $w diverged from tests/golden/dataset_quick.sha256" >&2
+        echo "  expected $ds_want" >&2
+        echo "  got      $ds_got" >&2
+        exit 1
+    fi
+done
+echo "    sha256 matches golden at 1 and 2 workers ($ds_want)"
+sed 's/^/    /' "$ds_dir/dataset_w1.log" | grep 'label sweep:'
+
 # Decision-layer agreement gate: the decide binary pushes one corpus
 # through the rowwise and batched allocator paths and exits non-zero if
 # any row's decision diverges; the digest line is the determinism handle
@@ -190,9 +214,9 @@ fi
 echo "    final fleet.events_observed matches merged events ($tel_events)"
 ./target/release/ssdtrace flame "$tel_dir/spans.folded" --top 5 \
     | sed 's/^/    /'
-echo "==> flame span-name golden (cargo test -p exp --features host-trace)"
+echo "==> flame span-name golden + label counters (cargo test -p exp --features host-trace)"
 cargo test -q --offline -p exp --features host-trace --test flame_golden \
-    --target-dir target/host-trace
+    --test label_counters --target-dir target/host-trace
 
 # BENCH=1 additionally smokes the probe-overhead path: the sim_throughput
 # bench with a recorder attached (SSDKEEPER_BENCH_PROBE=1), a few fast

@@ -89,7 +89,7 @@ fn golden_digest_is_byte_identical_with_and_without_a_recorder() {
     assert_eq!(report_digest(&bare), report_digest(&observed));
     assert_eq!(bare, observed);
     // The recorder actually saw the run it did not perturb.
-    assert!(rec.len() > 0, "recorder captured no events");
+    assert!(!rec.is_empty(), "recorder captured no events");
     assert_eq!(rec.dropped(), 0, "capacity was sized to capture everything");
     let reallocs = rec
         .events()
