@@ -53,21 +53,17 @@ impl Dense {
     }
 
     /// Forward pass for a batch `x: [batch, fan_in]` → `[batch, fan_out]`.
+    /// Each output row depends on its input row alone, through the one
+    /// kernel [`Matrix::matmul_into`].
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_batch_into(x, &mut out);
-        out
-    }
-
-    /// [`Dense::forward`] into a reused output buffer via the kernel
-    /// [`Matrix::matmul_into`]; allocation-free once `out` is warm.
-    pub fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(x.cols(), self.fan_in());
-        x.matmul_into(&self.w, out);
+        let mut out = Matrix::zeros(0, 0);
+        x.matmul_into(&self.w, &mut out);
         out.add_row_broadcast(&self.b);
         for i in 0..out.rows() {
             self.act.apply_slice(out.row_mut(i));
         }
+        out
     }
 
     /// Backward pass.

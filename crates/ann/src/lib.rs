@@ -14,9 +14,7 @@
 //!   [`metrics`]);
 //! * a plain-text model format for moving trained parameters into the
 //!   simulated FTL ([`io`]), mirroring the paper's "train on the host,
-//!   send the parameters to the FTL" deployment;
-//! * batched scratch-buffer inference ([`network::ForwardScratch`]) for
-//!   the decision hot path.
+//!   send the parameters to the FTL" deployment.
 //!
 //! # Example: learn XOR
 //!
@@ -54,7 +52,7 @@ pub mod prelude {
     pub use crate::activation::Activation;
     pub use crate::data::Dataset;
     pub use crate::matrix::Matrix;
-    pub use crate::network::{ForwardScratch, Network};
+    pub use crate::network::Network;
     pub use crate::optimizer::{AdaGrad, Adam, Momentum, Optimizer, RmsProp, Sgd};
     pub use crate::train::{TrainHistory, Trainer};
 }

@@ -21,36 +21,6 @@ pub struct NetworkBuilder {
     output_done: bool,
 }
 
-/// Reusable buffers for [`Network::forward_batch_into`].
-///
-/// Two ping-pong activation matrices the batched forward pass bounces
-/// between. The caller owns the scratch and may reuse it across calls
-/// and across networks — the buffers hold only activations, never
-/// weights, so there is no stale-weights hazard. Once both matrices have
-/// reached their high-water capacity, batched forward passes allocate
-/// nothing.
-#[derive(Debug)]
-pub struct ForwardScratch {
-    ping: Matrix,
-    pong: Matrix,
-}
-
-impl Default for ForwardScratch {
-    fn default() -> Self {
-        Self {
-            ping: Matrix::zeros(0, 0),
-            pong: Matrix::zeros(0, 0),
-        }
-    }
-}
-
-impl ForwardScratch {
-    /// An empty scratch; buffers grow to fit on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl Network {
     /// Starts building a network with `input` features; `seed` makes the
     /// weight initialization reproducible.
@@ -101,82 +71,15 @@ impl Network {
         self.layers.last().expect("non-empty").fan_out()
     }
 
-    /// Forward pass returning the logits for a batch.
+    /// Forward pass returning the logits for a batch. Rows never mix:
+    /// each output row is bit-identical to the forward pass of its input
+    /// row alone, so a batched decision equals the single-row one.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut a = self.layers[0].forward(x);
         for layer in &self.layers[1..] {
             a = layer.forward(&a);
         }
         a
-    }
-
-    /// Batched forward pass through caller-provided scratch buffers,
-    /// returning the logits `[batch, classes]` as a borrow of the
-    /// scratch.
-    ///
-    /// Runs the matmul kernel ([`crate::matrix::Matrix::matmul_into`])
-    /// once per layer for the whole batch instead of once per row,
-    /// ping-ponging activations between two reused matrices. Zero
-    /// allocations once the scratch is warm, and each output row is
-    /// bit-identical to [`Network::forward`] on that row alone (the
-    /// kernel treats rows independently).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the input width.
-    pub fn forward_batch_into<'s>(
-        &self,
-        x: &Matrix,
-        scratch: &'s mut ForwardScratch,
-    ) -> &'s Matrix {
-        assert_eq!(x.cols(), self.input_width(), "feature width mismatch");
-        obs::span!("ann_forward_batch");
-        obs::counter_add!("ann.rows", x.rows() as u64);
-        self.layers[0].forward_batch_into(x, &mut scratch.ping);
-        for (idx, layer) in self.layers.iter().enumerate().skip(1) {
-            if idx % 2 == 1 {
-                layer.forward_batch_into(&scratch.ping, &mut scratch.pong);
-            } else {
-                layer.forward_batch_into(&scratch.pong, &mut scratch.ping);
-            }
-        }
-        if (self.layers.len() - 1) % 2 == 1 {
-            &scratch.pong
-        } else {
-            &scratch.ping
-        }
-    }
-
-    /// Batched arg-max prediction into a reused output vector; the
-    /// batched counterpart of calling [`Network::predict_one`] per row.
-    /// Ties resolve to the highest index, exactly like
-    /// [`Network::predict`].
-    pub fn predict_batch_into(
-        &self,
-        x: &Matrix,
-        scratch: &mut ForwardScratch,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        let logits = self.forward_batch_into(x, scratch);
-        out.reserve(logits.rows());
-        for i in 0..logits.rows() {
-            let class = logits
-                .row(i)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                .map(|(j, _)| j)
-                .expect("non-empty row");
-            out.push(class);
-        }
-    }
-
-    /// Batched arg-max prediction, allocating the result vector.
-    pub fn predict_batch(&self, x: &Matrix, scratch: &mut ForwardScratch) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.predict_batch_into(x, scratch, &mut out);
-        out
     }
 
     /// Forward pass keeping every intermediate activation
@@ -408,30 +311,6 @@ mod tests {
         let bad = Dense::new(5, 3, Activation::Identity, &mut rng);
         let result = std::panic::catch_unwind(|| Network::from_layers(vec![l1, bad]));
         assert!(result.is_err());
-    }
-
-    /// The scratch-buffer batched path must match the allocating forward
-    /// bit for bit, and its arg-max must match `predict_one` per row —
-    /// including on a second call with warm buffers.
-    #[test]
-    fn batched_forward_matches_rowwise_bit_for_bit() {
-        let net = Network::paper_topology(Activation::Logistic, 5);
-        let x = Matrix::from_fn(17, 9, |i, j| ((i * 31 + j * 7) % 13) as f32 / 13.0 - 0.4);
-        let mut scratch = ForwardScratch::new();
-        for _ in 0..2 {
-            let batched = net.forward_batch_into(&x, &mut scratch).clone();
-            let reference = net.forward(&x);
-            assert_eq!((batched.rows(), batched.cols()), (17, 42));
-            for (a, b) in batched.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batched logits drifted");
-            }
-        }
-        let mut preds = Vec::new();
-        net.predict_batch_into(&x, &mut scratch, &mut preds);
-        assert_eq!(preds.len(), 17);
-        for (i, &pred) in preds.iter().enumerate() {
-            assert_eq!(pred, net.predict_one(x.row(i)));
-        }
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Shared pieces of the tracked benchmark targets.
+//! The tracked benchmark target.
 //!
-//! The `benches/` binaries (`sim_throughput`, `fleet_scale`,
-//! `decision_throughput`) are plain `harness = false` programs that time
-//! their own loops and splice their rows into `BENCH_sim.json` through
-//! [`report`].
+//! `benches/sim_throughput.rs` is a plain `harness = false` program that
+//! times its own loops and writes `BENCH_sim.json`; `scripts/bench.sh`
+//! runs it and diffs the result against the committed report.
 
 #![forbid(unsafe_code)]
-
-pub mod report;

@@ -2,7 +2,7 @@
 //! under a two-tier keeper (fleet placement above per-device channel
 //! allocation), fanned out over worker threads.
 //!
-//! The default shape is the tracked `fleet_1k` scenario (1000 tenants /
+//! The default shape is the `fleet_1k` scenario (1000 tenants /
 //! 64 devices). The printed `fleet digest` line is a pure function of
 //! the scenario parameters — never of `--workers` — and is what the
 //! verify gate compares across worker counts.

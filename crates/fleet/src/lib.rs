@@ -116,7 +116,7 @@ impl FleetConfig {
         }
     }
 
-    /// The tracked `fleet_1k` scenario: 1000 tenants across 64 devices.
+    /// The `fleet_1k` scenario: 1000 tenants across 64 devices.
     pub fn scenario_1k(fleet_seed: u64) -> Self {
         Self::new(fleet_seed, 1_000, 64)
     }

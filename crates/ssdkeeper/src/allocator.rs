@@ -5,16 +5,9 @@
 //! argues the overhead is negligible (`Σ 16·Nᵢ` bytes of parameters,
 //! `Σ Nᵢ·Nᵢ₊₁` multiplications per decision); [`ChannelAllocator::cost`]
 //! reports both numbers for this model.
-//!
-//! Batching is the one throughput lever:
-//! [`ChannelAllocator::predict_batch_into`] packs many feature vectors
-//! into one matrix and runs each layer's kernel once for the whole window
-//! instead of once per tenant, through reused [`DecisionScratch`] buffers
-//! (zero steady-state allocations).
 
-use crate::features::FeatureVector;
+use crate::features::{FeatureVector, FEATURE_DIM};
 use crate::strategy::Strategy;
-use ann::network::ForwardScratch;
 use ann::{Matrix, Network};
 
 /// Inference-time cost figures for a deployed model.
@@ -24,33 +17,6 @@ pub struct AllocatorCost {
     pub param_bytes: usize,
     /// Floating-point multiplications per decision.
     pub mults_per_decision: usize,
-}
-
-/// Reusable buffers for batched allocator decisions: the packed feature
-/// matrix, the network's forward scratch, and the class output vector.
-/// One scratch serves any number of allocators.
-#[derive(Debug)]
-pub struct DecisionScratch {
-    input: Matrix,
-    fwd: ForwardScratch,
-    classes: Vec<usize>,
-}
-
-impl Default for DecisionScratch {
-    fn default() -> Self {
-        Self {
-            input: Matrix::zeros(0, 0),
-            fwd: ForwardScratch::new(),
-            classes: Vec::new(),
-        }
-    }
-}
-
-impl DecisionScratch {
-    /// An empty scratch; buffers grow to fit on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Maps observed workload features to a channel-allocation strategy.
@@ -90,42 +56,24 @@ impl ChannelAllocator {
         Strategy::from_index(class, 4).expect("42-way output maps onto the strategy space")
     }
 
-    /// Batched prediction through reused scratch buffers: one kernel
-    /// invocation per layer for the whole window. Each decision equals
-    /// what [`ChannelAllocator::predict`] would return for that feature
-    /// vector alone (the kernel is row-independent).
-    pub fn predict_batch_into(
-        &self,
-        features: &[FeatureVector],
-        scratch: &mut DecisionScratch,
-        out: &mut Vec<Strategy>,
-    ) {
-        out.clear();
-        if features.is_empty() {
-            return;
-        }
+    /// Batched prediction: the feature vectors packed into one matrix,
+    /// one forward pass for the whole window. Each decision equals what
+    /// [`ChannelAllocator::predict`] returns for that feature vector alone
+    /// (rows never mix in [`Network::forward`]).
+    pub fn predict_batch(&self, features: &[FeatureVector]) -> Vec<Strategy> {
         obs::span!("decide_batch");
         obs::counter_add!("keeper.decisions", features.len() as u64);
-        scratch.input.resize(features.len(), 9);
+        let mut x = Matrix::zeros(features.len(), FEATURE_DIM);
         for (i, f) in features.iter().enumerate() {
-            scratch.input.row_mut(i).copy_from_slice(&f.to_input());
+            x.row_mut(i).copy_from_slice(&f.to_input());
         }
         self.network
-            .predict_batch_into(&scratch.input, &mut scratch.fwd, &mut scratch.classes);
-        out.reserve(scratch.classes.len());
-        for &class in &scratch.classes {
-            out.push(
-                Strategy::from_index(class, 4).expect("42-way output maps onto the strategy space"),
-            );
-        }
-    }
-
-    /// Batched prediction, allocating the result vector.
-    pub fn predict_batch(&self, features: &[FeatureVector]) -> Vec<Strategy> {
-        let mut scratch = DecisionScratch::new();
-        let mut out = Vec::new();
-        self.predict_batch_into(features, &mut scratch, &mut out);
-        out
+            .predict(&x)
+            .into_iter()
+            .map(|class| {
+                Strategy::from_index(class, 4).expect("42-way output maps onto the strategy space")
+            })
+            .collect()
     }
 
     /// Class probabilities over the 42 strategies (for analysis).
@@ -198,18 +146,60 @@ mod tests {
     fn batched_decisions_match_single_decisions() {
         let a = allocator();
         let features: Vec<FeatureVector> = (0..20).map(fv).collect();
-        let mut scratch = DecisionScratch::new();
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            // Second pass runs with warm buffers.
-            a.predict_batch_into(&features, &mut scratch, &mut out);
-            assert_eq!(out.len(), features.len());
-            for (f, s) in features.iter().zip(out.iter()) {
-                assert_eq!(*s, a.predict(f), "batched decision drifted");
-            }
+        let out = a.predict_batch(&features);
+        assert_eq!(out.len(), features.len());
+        for (f, s) in features.iter().zip(out.iter()) {
+            assert_eq!(*s, a.predict(f), "batched decision drifted");
         }
-        a.predict_batch_into(&[], &mut scratch, &mut out);
-        assert!(out.is_empty());
+        assert!(a.predict_batch(&[]).is_empty());
+    }
+
+    /// A seeded corpus of realistic keeper feature vectors: mixed
+    /// intensities, all read/write characters, normalized channel shares.
+    fn corpus(seed: u64, n: usize) -> Vec<FeatureVector> {
+        use simrng::{Rng, SimRng};
+        let mut rng = SimRng::seed_from_u64(seed ^ 0xD0C5);
+        (0..n)
+            .map(|_| {
+                let mut shares = [0.0f64; 4];
+                let mut total = 0.0;
+                for s in shares.iter_mut() {
+                    *s = rng.gen_range(0.05..1.0);
+                    total += *s;
+                }
+                for s in shares.iter_mut() {
+                    *s /= total;
+                }
+                FeatureVector {
+                    intensity_level: rng.gen_range(0u32..20),
+                    rw_char: [
+                        rng.gen_range(0u8..2),
+                        rng.gen_range(0u8..2),
+                        rng.gen_range(0u8..2),
+                        rng.gen_range(0u8..2),
+                    ],
+                    shares,
+                }
+            })
+            .collect()
+    }
+
+    /// The decision digest is pinned: any change to the forward kernel,
+    /// the feature packing or the class-to-strategy mapping moves it.
+    /// Every batched row must also equal the single-row decision.
+    #[test]
+    fn decision_digest_is_pinned() {
+        let a = ChannelAllocator::new(Network::paper_topology(Activation::Logistic, 3), 120_000.0);
+        let features = corpus(3, 64);
+        let decisions = a.predict_batch(&features);
+        for (f, s) in features.iter().zip(&decisions) {
+            assert_eq!(*s, a.predict(f), "batched decision drifted");
+        }
+        // FNV-1a over the decided strategy indices.
+        let digest = decisions.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
+            (h ^ d.index(4) as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, 0xf69b_2745_6b3e_e725, "got 0x{digest:016x}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! it was written. When hybrid page allocation is enabled, each tenant's
 //! allocation mode is also switched to match its observed characteristic.
 
-use crate::allocator::{ChannelAllocator, DecisionScratch};
+use crate::allocator::ChannelAllocator;
 use crate::features::{FeatureVector, TENANTS};
 use crate::strategy::Strategy;
 use flash_sim::metrics::{MetricsProbe, MetricsSummary};
@@ -448,10 +448,7 @@ impl Keeper {
             }
             boundary += t_ns;
         }
-        let mut scratch = DecisionScratch::new();
-        let mut predicted: Vec<Strategy> = Vec::new();
-        self.allocator
-            .predict_batch_into(&features, &mut scratch, &mut predicted);
+        let predicted = self.allocator.predict_batch(&features);
 
         let mut reallocations: Vec<Reallocation> = Vec::new();
         let mut decisions: Vec<Decision> = Vec::new();

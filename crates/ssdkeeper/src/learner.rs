@@ -8,7 +8,7 @@
 //! plus one overall intensity level. The sample is labelled by running all
 //! 42 strategies (see [`crate::label`]) and keeping the argmin.
 
-use crate::allocator::{ChannelAllocator, DecisionScratch};
+use crate::allocator::ChannelAllocator;
 use crate::features::{FeatureVector, FEATURE_DIM, TENANTS};
 use crate::label::{
     best_strategy_with_tolerance, evaluate_all_sized, EvalConfig, SweepSize, DOMAIN_LABEL_SAMPLE,
@@ -320,9 +320,7 @@ pub fn effective_accuracy_subset(
         return None;
     }
     let features: Vec<FeatureVector> = scored_samples.iter().map(|s| s.features.clone()).collect();
-    let mut scratch = DecisionScratch::new();
-    let mut predicted = Vec::new();
-    allocator.predict_batch_into(&features, &mut scratch, &mut predicted);
+    let predicted = allocator.predict_batch(&features);
     let mut hits = 0usize;
     for (s, strategy) in scored_samples.iter().zip(predicted.iter()) {
         let best = s.metrics_us.iter().copied().fold(f64::INFINITY, f64::min);

@@ -58,7 +58,7 @@ pub mod model_io;
 pub mod placement;
 pub mod strategy;
 
-pub use allocator::{ChannelAllocator, DecisionScratch};
+pub use allocator::ChannelAllocator;
 pub use features::FeatureVector;
 pub use keeper::{Keeper, KeeperConfig, KeeperError, RunMode, RunOutcome, RunSpec};
 pub use placement::{FleetPlacer, Placement, TenantLoad};

@@ -1,11 +1,10 @@
 #!/usr/bin/env sh
-# Tracked perf gate: runs the sim_throughput bench (events/sec on the
-# sim_micro workload), the fleet_scale bench (the fleet_1k scenario:
-# 1000 tenants / 64 device shards, events/sec plus core-scaling
-# efficiency), and the decision_throughput bench (decisions/sec for
-# rowwise vs batched allocator calls, plus label-farm labels/sec),
-# recording all of them in BENCH_sim.json at the repo
-# root. The JSON keeps the first-ever run as the baseline, so every
+# Tracked perf gate: runs the sim_throughput bench, the one writer of
+# BENCH_sim.json at the repo root. It records events/sec on four
+# simulator workloads (sim_micro, gc_heavy, read_mostly_8ch,
+# deep_queue), cold vs warm rebuild+run times (warm_rerun), and
+# labels/sec of the parallel label farm at 1 vs N workers (label_farm).
+# Each simulator row keeps the first-ever run as its baseline, so every
 # later run reports its speedup against the committed starting point.
 #
 # The JSON also records a "phases" section: per-command time in each
@@ -33,8 +32,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Absolute path: cargo runs bench binaries with the package directory as
-# cwd, so a relative path would land inside crates/bench/.
-json_path="${SSDKEEPER_BENCH_JSON:-$(pwd)/BENCH_sim.json}"
+# cwd, so a relative path would land inside crates/bench/. A relative
+# SSDKEEPER_BENCH_JSON is taken from the repo root.
+json_path="${SSDKEEPER_BENCH_JSON:-BENCH_sim.json}"
+case "$json_path" in
+    /*) ;;
+    *) json_path="$(pwd)/$json_path" ;;
+esac
 
 # Snapshot the pre-run report so the post-run diff compares against what
 # was committed, not against the file the bench just rewrote.
@@ -47,21 +51,6 @@ fi
 
 SSDKEEPER_BENCH_JSON="$json_path" \
     cargo bench --offline -q -p bench --bench sim_throughput
-
-# The fleet bench splices its fleet_1k entry into the report the
-# sim_throughput bench just rewrote; the pre-run snapshot carries the
-# committed fleet_1k baseline across that rewrite.
-SSDKEEPER_BENCH_JSON="$json_path" SSDKEEPER_BENCH_PREV="$prev" \
-    cargo bench --offline -q -p bench --bench fleet_scale
-
-# Decision layer: splices decision_throughput (rowwise vs batched
-# decisions/sec) and label_farm (labels/sec at 1 vs N workers) entries. Under SSDKEEPER_BENCH_STRICT=1 the bench itself enforces the
-# batching bar (batched >= 3x rowwise, batch >= 64) in-process, and
-# the ssdtrace diff below holds the recorded *_per_sec rows to the
-# regression threshold like every other rate.
-SSDKEEPER_BENCH_JSON="$json_path" SSDKEEPER_BENCH_PREV="$prev" \
-    SSDKEEPER_BENCH_STRICT="${SSDKEEPER_BENCH_STRICT:-0}" \
-    cargo bench --offline -q -p bench --bench decision_throughput
 
 if [ -n "$prev" ]; then
     echo "==> ssdtrace diff vs previous $json_path"

@@ -131,18 +131,6 @@ done
 echo "    sha256 matches golden at 1 and 2 workers ($ds_want)"
 sed 's/^/    /' "$ds_dir/dataset_w1.log" | grep 'label sweep:'
 
-# Decision-layer agreement gate: the decide binary pushes one corpus
-# through the rowwise and batched allocator paths and exits non-zero if
-# any row's decision diverges; the digest line is the determinism handle
-# (a pure function of --seed/--batch).
-echo "==> decision-layer agreement check (decide --smoke)"
-decide_out=$(./target/release/decide --smoke | grep '^decide digest:')
-if [ -z "$decide_out" ]; then
-    echo "verify: FAIL - decide --smoke produced no digest" >&2
-    exit 1
-fi
-echo "    $decide_out (rowwise and batched paths agree)"
-
 # Keeper capture gate: fig5 --quick re-runs the Mix1 adapt-once session
 # with an EventRecorder attached (command lifecycle, bus, GC, realloc and
 # decision events) and prints Tables IV/V, Figure 5 and the percentile
