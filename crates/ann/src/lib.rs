@@ -8,8 +8,8 @@
 //!   activations ([`layer`], [`activation`]);
 //! * softmax + cross-entropy classification loss ([`loss`]);
 //! * minibatch backpropagation ([`train`]);
-//! * the optimizer family the paper sweeps in Figure 4 / Table III — SGD,
-//!   SGD with momentum, AdaGrad, RMSProp, and Adam ([`optimizer`]);
+//! * the optimizers the paper sweeps in Figure 4 / Table III — SGD, SGD
+//!   with momentum, and Adam ([`optimizer`]);
 //! * dataset shuffling/splitting and accuracy metrics ([`data`],
 //!   [`metrics`]);
 //! * a plain-text model format for moving trained parameters into the
@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::data::Dataset;
     pub use crate::matrix::Matrix;
     pub use crate::network::Network;
-    pub use crate::optimizer::{AdaGrad, Adam, Momentum, Optimizer, RmsProp, Sgd};
+    pub use crate::optimizer::{Adam, Momentum, Optimizer, Sgd};
     pub use crate::train::{TrainHistory, Trainer};
 }
 

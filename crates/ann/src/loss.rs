@@ -45,25 +45,6 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
     (loss / batch, probs)
 }
 
-/// Mean squared error between `pred` and `target`, and its gradient
-/// (`2 (pred - target) / n_elements`). Provided for regression-style
-/// extensions and gradient-check tests.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!(pred.rows(), target.rows());
-    assert_eq!(pred.cols(), target.cols());
-    let n = (pred.rows() * pred.cols()) as f32;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    let mut loss = 0.0f32;
-    for i in 0..pred.rows() {
-        for j in 0..pred.cols() {
-            let d = pred.get(i, j) - target.get(i, j);
-            loss += d * d;
-            grad.set(i, j, 2.0 * d / n);
-        }
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,15 +109,6 @@ mod tests {
     fn out_of_range_label_panics() {
         let logits = Matrix::from_rows(&[&[0.0, 0.0]]);
         let _ = softmax_cross_entropy(&logits, &[5]);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let pred = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let target = Matrix::from_rows(&[&[0.0, 0.0]]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.as_slice(), &[1.0, 2.0]);
     }
 
     /// The analytic logits gradient matches a central finite difference

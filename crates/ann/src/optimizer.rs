@@ -2,9 +2,8 @@
 //!
 //! The paper (§II-B, §V-B) trains its strategy model with four
 //! configurations — SGD, SGD with momentum, and Adam with two activation
-//! choices — and motivates Adam as the combination of AdaGrad and RMSProp.
-//! All five algorithms are implemented so the Figure 4 / Table III sweep
-//! and its natural ablations can run.
+//! choices. The three algorithms behind them are implemented so the
+//! Figure 4 / Table III sweep can run.
 //!
 //! Optimizers address parameter tensors by an opaque `slot` id (layer
 //! index × 2 + {weights=0, bias=1}); per-slot state buffers are allocated
@@ -96,82 +95,6 @@ impl Optimizer for Momentum {
 
     fn name(&self) -> &'static str {
         "SGD-momentum"
-    }
-}
-
-/// AdaGrad: per-parameter rates shrinking with accumulated squared
-/// gradients.
-#[derive(Debug, Clone)]
-pub struct AdaGrad {
-    /// Base learning rate.
-    pub lr: f32,
-    /// Divide-by-zero guard.
-    pub eps: f32,
-    accum: HashMap<usize, Vec<f32>>,
-}
-
-impl AdaGrad {
-    /// AdaGrad with the given base rate.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            eps: 1e-8,
-            accum: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for AdaGrad {
-    fn update(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        debug_assert_eq!(params.len(), grads.len());
-        let a = state_buf(&mut self.accum, slot, params.len());
-        for ((p, &g), a) in params.iter_mut().zip(grads).zip(a.iter_mut()) {
-            *a += g * g;
-            *p -= self.lr * g / (a.sqrt() + self.eps);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "AdaGrad"
-    }
-}
-
-/// RMSProp: exponentially decayed squared-gradient normalization.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    /// Base learning rate.
-    pub lr: f32,
-    /// Decay of the squared-gradient average.
-    pub rho: f32,
-    /// Divide-by-zero guard.
-    pub eps: f32,
-    accum: HashMap<usize, Vec<f32>>,
-}
-
-impl RmsProp {
-    /// RMSProp with the given rate and a 0.9 decay.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            rho: 0.9,
-            eps: 1e-8,
-            accum: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn update(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        debug_assert_eq!(params.len(), grads.len());
-        let a = state_buf(&mut self.accum, slot, params.len());
-        for ((p, &g), a) in params.iter_mut().zip(grads).zip(a.iter_mut()) {
-            *a = self.rho * *a + (1.0 - self.rho) * g * g;
-            *p -= self.lr * g / (a.sqrt() + self.eps);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "RMSProp"
     }
 }
 
@@ -272,8 +195,6 @@ mod tests {
         let cases: Vec<Box<dyn Optimizer>> = vec![
             Box::new(Sgd::new(0.05)),
             Box::new(Momentum::new(0.02, 0.9)),
-            Box::new(AdaGrad::new(0.5)),
-            Box::new(RmsProp::new(0.05)),
             Box::new(Adam::new(0.2)),
         ];
         for mut opt in cases {
@@ -314,24 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn adagrad_rates_decay_monotonically() {
-        let mut opt = AdaGrad::new(1.0);
-        let mut p = vec![0.0f32];
-        let mut steps = Vec::new();
-        for _ in 0..5 {
-            let before = p[0];
-            opt.update(0, &mut p, &[1.0]);
-            steps.push((before - p[0]).abs());
-        }
-        for w in steps.windows(2) {
-            assert!(
-                w[1] < w[0] + 1e-9,
-                "AdaGrad step sizes must shrink: {steps:?}"
-            );
-        }
-    }
-
-    #[test]
     fn slots_have_independent_state() {
         let mut opt = Momentum::new(0.1, 0.9);
         let mut a = vec![0.0f32];
@@ -348,8 +251,6 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Sgd::paper().name(), "SGD");
         assert_eq!(Momentum::paper().name(), "SGD-momentum");
-        assert_eq!(AdaGrad::new(0.1).name(), "AdaGrad");
-        assert_eq!(RmsProp::new(0.1).name(), "RMSProp");
         assert_eq!(Adam::paper().name(), "Adam");
     }
 

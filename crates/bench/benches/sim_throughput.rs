@@ -34,7 +34,9 @@
 //! there in the `BENCH_sim.json` format: one entry per workload, each
 //! with a `baseline` (the first run ever recorded for that workload —
 //! kept verbatim on later runs so the speedup is always measured against
-//! the committed starting point), a `current` section, and a `phases`
+//! the committed starting point), a `current` section that also records
+//! the fastest run (`min_ns`) and the median absolute deviation of the
+//! run times (`mad_ns`) as the row's spread, and a `phases`
 //! section with per-command nanoseconds in each simulated phase from the
 //! median run's [`flash_sim::PhaseReport`] — mean plus p50/p99 from the
 //! log₂ histograms, which `ssdtrace diff` compares across commits.
@@ -332,16 +334,31 @@ fn median(sorted: &[RunSample]) -> &RunSample {
     &sorted[(sorted.len() - 1) / 2]
 }
 
-/// Median-of-N measurement for one workload.
-fn measure(w: &Workload, iters: usize, warmup: usize) -> RunSample {
+/// Median-of-N measurement for one workload, with the spread of its runs.
+struct Measured {
+    /// The median run.
+    median: RunSample,
+    /// The fastest run's time.
+    min: Duration,
+    /// Median absolute deviation of the run times from the median.
+    mad: Duration,
+}
+
+fn measure(w: &Workload, iters: usize, warmup: usize) -> Measured {
     for _ in 0..warmup {
         black_box(run_once(w));
     }
     let mut samples: Vec<RunSample> = (0..iters).map(|_| run_once(w)).collect();
     samples.sort_unstable_by_key(|s| s.elapsed);
     let med = median(&samples);
+    let mut deviations: Vec<Duration> = samples
+        .iter()
+        .map(|s| s.elapsed.abs_diff(med.elapsed))
+        .collect();
+    deviations.sort_unstable();
+    let mad = deviations[(deviations.len() - 1) / 2];
     println!(
-        "sim_throughput/{:<16} iters={iters} events={} min={:?} median={:?} max={:?}  {:.0} events/s",
+        "sim_throughput/{:<16} iters={iters} events={} min={:?} median={:?} mad={mad:?} max={:?}  {:.0} events/s",
         w.name,
         med.events,
         samples[0].elapsed,
@@ -349,11 +366,15 @@ fn measure(w: &Workload, iters: usize, warmup: usize) -> RunSample {
         samples[samples.len() - 1].elapsed,
         med.events_per_sec,
     );
-    RunSample {
-        events: med.events,
-        elapsed: med.elapsed,
-        events_per_sec: med.events_per_sec,
-        phases: med.phases.clone(),
+    Measured {
+        median: RunSample {
+            events: med.events,
+            elapsed: med.elapsed,
+            events_per_sec: med.events_per_sec,
+            phases: med.phases.clone(),
+        },
+        min: samples[0].elapsed,
+        mad,
     }
 }
 
@@ -476,7 +497,7 @@ fn main() {
     let warmup = env_usize("SSDKEEPER_BENCH_WARMUP", 2);
     let workloads = [sim_micro(), gc_heavy(), read_mostly_8ch(), deep_queue()];
 
-    let results: Vec<RunSample> = workloads
+    let results: Vec<Measured> = workloads
         .iter()
         .map(|w| measure(w, iters, warmup))
         .collect();
@@ -493,7 +514,7 @@ fn main() {
         let mut probed: Vec<RunSample> = (0..iters).map(|_| run_once_recorded(w)).collect();
         probed.sort_unstable_by_key(|s| s.elapsed);
         let pmed = median(&probed);
-        let overhead = pmed.elapsed.as_secs_f64() / results[0].elapsed.as_secs_f64() - 1.0;
+        let overhead = pmed.elapsed.as_secs_f64() / results[0].median.elapsed.as_secs_f64() - 1.0;
         println!(
             "sim_throughput/{}+recorder  median={:?}  {:.0} events/s  \
              probe overhead {:+.2}% vs NullProbe",
@@ -543,7 +564,7 @@ fn stored_baseline(existing: &str, workload: &str) -> Option<(u64, u64, f64)> {
 fn write_json(
     path: &str,
     workloads: &[Workload],
-    results: &[RunSample],
+    results: &[Measured],
     rerun_workload: &Workload,
     rerun: &RerunResult,
     farm: &FarmResult,
@@ -561,9 +582,11 @@ fn write_json(
         )
     };
     let mut body = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"workloads\": {\n");
-    for (w, r) in workloads.iter().zip(results) {
+    for (w, m) in workloads.iter().zip(results) {
+        let r = &m.median;
         let events = r.events;
         let median_ns = r.elapsed.as_nanos() as u64;
+        let (min_ns, mad_ns) = (m.min.as_nanos(), m.mad.as_nanos());
         let eps = r.events_per_sec;
         let (base_events, base_median, base_eps) =
             stored_baseline(&existing, w.name).unwrap_or((events, median_ns, eps));
@@ -579,7 +602,7 @@ fn write_json(
              \"baseline\": {{ \"events\": {base_events}, \"median_ns\": {base_median}, \
              \"events_per_sec\": {base_eps:.1} }},\n      \
              \"current\": {{ \"events\": {events}, \"median_ns\": {median_ns}, \
-             \"events_per_sec\": {eps:.1} }},\n      \
+             \"min_ns\": {min_ns}, \"mad_ns\": {mad_ns}, \"events_per_sec\": {eps:.1} }},\n      \
              \"phases\": {{\n        \"wait_unit\": {},\n        \"array\": {},\n        \
              \"wait_bus\": {},\n        \"transfer\": {},\n        \"gc_exec\": {},\n        \
              \"queue_depth\": {{ \"mean\": {:.2}, \"p50\": {}, \"p99\": {} }}\n      }},\n      \

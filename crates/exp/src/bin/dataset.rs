@@ -6,11 +6,14 @@
 //!
 //! ```text
 //! cargo run --release -p exp --bin dataset [--samples 800] [--requests 2000] \
-//!     [--out artifacts/dataset.txt] [--seed 1] [--workers N]
+//!     [--out artifacts/dataset_<samples>x<requests>_s<seed>.txt] [--seed 1] [--workers N]
 //! ```
+//!
+//! The default `--out` names the inputs, so it never overwrites the
+//! committed `artifacts/dataset.txt` the benchmark reads.
 
 use exp::args::Args;
-use exp::{artifact_path, table::Table};
+use exp::{artifact_path, dataset_file_name, table::Table};
 use parallel::PoolConfig;
 use ssdkeeper::learner::{DatasetSpec, Learner};
 use ssdkeeper::Strategy;
@@ -27,8 +30,14 @@ fn main() {
         spec.samples = spec.samples.min(64);
         spec.requests_per_sample = spec.requests_per_sample.min(1_000);
     }
-    let out = args.get_str("out", artifact_path("dataset.txt").to_str().unwrap());
     let seed = args.get("seed", 1u64);
+    let out = match args.get_opt("out") {
+        Some(out) => out.to_string(),
+        None => {
+            let name = dataset_file_name(spec.samples, spec.requests_per_sample, seed);
+            artifact_path(&name).to_string_lossy().into_owned()
+        }
+    };
 
     eprintln!(
         "dataset: labelling {} mixed workloads x 42 strategies x {} requests...",

@@ -4,14 +4,17 @@
 //!
 //! ```text
 //! cargo run --release -p exp --bin fig4 [--dataset artifacts/dataset.txt] \
-//!     [--samples 400] [--epochs 200] [--model-out artifacts/model.txt]
+//!     [--samples 400] [--epochs 200] [--model-out artifacts/model_fig4_<data>_s<seed>.txt]
 //! ```
 //!
 //! Without `--dataset`, a dataset of `--samples` workloads is generated
-//! on the fly.
+//! on the fly. The default `--model-out` names the training data (the
+//! dataset file's stem, or `<samples>x<requests>` when generated), so it
+//! never overwrites the committed `artifacts/model.txt` the benchmark
+//! reads.
 
 use exp::args::Args;
-use exp::{artifact_path, fig4};
+use exp::{artifact_path, fig4, model_file_name};
 use ssdkeeper::learner::{DatasetSpec, LabelledDataset, Learner};
 
 fn main() {
@@ -19,10 +22,14 @@ fn main() {
     let epochs = args.get("epochs", 200usize);
     let seed = args.get("seed", 1u64);
 
-    let dataset = match args.get_opt("dataset") {
+    let (dataset, data_name) = match args.get_opt("dataset") {
         Some(path) => {
             let text = std::fs::read_to_string(path).expect("read dataset file");
-            LabelledDataset::from_text(&text).expect("parse dataset file")
+            let stem = std::path::Path::new(path).file_stem().unwrap_or_default();
+            (
+                LabelledDataset::from_text(&text).expect("parse dataset file"),
+                stem.to_string_lossy().into_owned(),
+            )
         }
         None => {
             let mut spec = DatasetSpec::quick(args.get("samples", 400));
@@ -34,7 +41,8 @@ fn main() {
                 "fig4: no --dataset given; labelling {} workloads first...",
                 spec.samples
             );
-            Learner::new(spec).generate_dataset(seed)
+            let name = format!("{}x{}", spec.samples, spec.requests_per_sample);
+            (Learner::new(spec).generate_dataset(seed), name)
         }
     };
     eprintln!(
@@ -53,7 +61,12 @@ fn main() {
         best.model.history.final_accuracy() * 100.0
     );
 
-    let model_out = args.get_str("model-out", artifact_path("model.txt").to_str().unwrap());
+    let model_out = match args.get_opt("model-out") {
+        Some(out) => out.to_string(),
+        None => artifact_path(&model_file_name(&data_name, seed))
+            .to_string_lossy()
+            .into_owned(),
+    };
     ssdkeeper::model_io::save_model(&best.model, &model_out).expect("save model");
     println!(
         "saved best model to {model_out} (max_total_iops calibration: {})",

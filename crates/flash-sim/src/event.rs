@@ -4,10 +4,17 @@
 //! that simulation order — and therefore every latency the simulator
 //! reports — is fully deterministic.
 //!
-//! The queue is a `BinaryHeap` min-ordered by `(time, seq)`, with sequence
-//! numbers handed out at push time, so equal-time events pop in exact
-//! insertion order. The pending set is small: the simulator never heaps
-//! trace arrivals (see below), so the heap holds only in-flight work.
+//! Almost every event the simulator schedules fires a *fixed* delay after
+//! the current time: a read sense, a program, a page transfer, or an
+//! immediate host admit. The queue therefore keeps one FIFO lane per such
+//! delay (set with [`EventQueue::reset_lanes`]) and a `BinaryHeap` for
+//! everything else (GC composite durations, or every push on a queue with
+//! no lanes). A lane is sorted by `(time, seq)` by construction: its events
+//! fire at `now + delay`, `now` never decreases, and `seq` always
+//! increases. So the earliest pending event is the minimum over the lane
+//! fronts and the heap top, and the service order is exactly that of one
+//! heap over every event. The pending set is small: the simulator never
+//! queues trace arrivals (see below), so it holds only in-flight work.
 //!
 //! # Contract
 //!
@@ -20,7 +27,7 @@
 //! forward to the arrival just served.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifier of a page-granular flash command, unique while the command
 /// is in flight and recycled after it retires.
@@ -71,11 +78,24 @@ impl PartialOrd for Event {
 
 /// Min-queue of events in exact `(time, seq)` order.
 ///
-/// `Default` does not allocate, and [`EventQueue::reset`] keeps the heap's
+/// `Default` does not allocate and has no lanes, so every push goes to the
+/// heap. [`EventQueue::reset_lanes`] installs up to four fixed-delay lanes
+/// and reserves their bound; it and [`EventQueue::reset`] keep every
 /// buffer, so a recycled queue (see [`crate::SimArena`]) starts its next
 /// run without touching the allocator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventQueue {
+    /// Key (see [`key`]) of each lane's front event, then of the heap's
+    /// top (at [`HEAP`]); [`NONE`] where that source is empty, unused
+    /// lanes included. The earliest pending event is the minimum of this
+    /// array, and its low bits name the source holding it.
+    fronts: [u128; MAX_LANES + 1],
+    /// Delay of each lane in use (the first `lane_count`).
+    delays: [u64; MAX_LANES],
+    lane_count: usize,
+    /// One FIFO per distinct fixed delay, each sorted by `(time, seq)`.
+    lanes: [VecDeque<Event>; MAX_LANES],
+    /// Events whose delay matches no lane.
     heap: BinaryHeap<Reverse<Event>>,
     /// Time of the last served event (or the last `advance_to`); pushes
     /// are clamped to it.
@@ -83,46 +103,148 @@ pub struct EventQueue {
     next_seq: u64,
 }
 
+/// Most fixed-delay lanes a queue keeps; further delays go to the heap.
+const MAX_LANES: usize = 4;
+/// Index of the heap's top in `EventQueue::fronts`.
+const HEAP: usize = MAX_LANES;
+/// Key of an empty source: above every real key.
+const NONE: u128 = u128::MAX;
+/// Low key bits that hold the source index.
+const SRC_BITS: u32 = 3;
+
+/// `(time, seq)` as one integer, ordered the same way, with the source
+/// index `src` in the low [`SRC_BITS`] bits: `seq` is unique, so the
+/// source never decides an order. Exact while `seq < 2^61`.
+#[inline]
+fn key(e: &Event, src: usize) -> u128 {
+    (e.time as u128) << 64 | (e.seq as u128) << SRC_BITS | src as u128
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self {
+            fronts: [NONE; MAX_LANES + 1],
+            delays: [0; MAX_LANES],
+            lane_count: 0,
+            lanes: Default::default(),
+            heap: BinaryHeap::new(),
+            now: 0,
+            next_seq: 0,
+        }
+    }
+}
+
 impl EventQueue {
-    /// An empty queue.
+    /// An empty queue with no lanes.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Restores the freshly-constructed state, keeping the heap's buffer.
+    /// Restores the freshly-constructed state, keeping the lanes and every
+    /// buffer.
     pub fn reset(&mut self) {
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
         self.heap.clear();
+        self.fronts = [NONE; MAX_LANES + 1];
         self.now = 0;
         self.next_seq = 0;
+    }
+
+    /// [`EventQueue::reset`], then one lane per distinct delay in `delays`
+    /// (the first four of them, in order), each lane and the heap
+    /// reserving room for `bound` events. Buffers are reused, so with an
+    /// unchanged `bound` a second call allocates nothing.
+    pub fn reset_lanes(&mut self, delays: &[u64], bound: usize) {
+        self.reset();
+        self.lane_count = 0;
+        for (i, &delay) in delays.iter().enumerate() {
+            if self.lane_count == MAX_LANES || delays[..i].contains(&delay) {
+                continue;
+            }
+            self.delays[self.lane_count] = delay;
+            self.lanes[self.lane_count].reserve(bound);
+            self.lane_count += 1;
+        }
+        self.heap.reserve(bound);
     }
 
     /// Schedules `kind` to fire at `time`.
     ///
     /// `time` must be at or after the time of the last popped event (the
     /// discrete-event contract); past times are clamped to it.
+    #[inline]
     pub fn push(&mut self, time: u64, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let time = time.max(self.now);
-        let seq = self.next_seq;
+        let ev = Event {
+            time,
+            seq: self.next_seq,
+            kind,
+        };
         self.next_seq += 1;
-        self.heap.push(Reverse(Event { time, seq, kind }));
+        let delay = time - self.now;
+        let src = match self.delays[..self.lane_count]
+            .iter()
+            .position(|&d| d == delay)
+        {
+            Some(lane) => {
+                self.lanes[lane].push_back(ev);
+                lane
+            }
+            None => {
+                self.heap.push(Reverse(ev));
+                HEAP
+            }
+        };
+        // The new event has the largest seq so far, so it becomes its
+        // source's front only if it is strictly earlier.
+        self.fronts[src] = self.fronts[src].min(key(&ev, src));
+    }
+
+    /// The source holding the earliest pending event (a lane index or
+    /// [`HEAP`]) and that event's time.
+    #[inline]
+    fn earliest(&self) -> Option<(usize, u64)> {
+        let k = self.fronts.iter().copied().fold(NONE, u128::min);
+        let src = (k & ((1 << SRC_BITS) - 1)) as usize;
+        (k != NONE).then_some((src, (k >> 64) as u64))
+    }
+
+    /// Removes the front of `src` (as returned by `earliest`).
+    #[inline]
+    fn take(&mut self, src: usize) -> Event {
+        // The clamp floor comes from the cached key, not the event just
+        // copied out, so it does not wait on that copy.
+        self.now = (self.fronts[src] >> 64) as u64;
+        if src == HEAP {
+            let Reverse(ev) = self.heap.pop().expect("heap front is pending");
+            self.fronts[HEAP] = self.heap.peek().map_or(NONE, |Reverse(e)| key(e, HEAP));
+            ev
+        } else {
+            let lane = &mut self.lanes[src];
+            let ev = lane.pop_front().expect("lane front is pending");
+            self.fronts[src] = lane.front().map_or(NONE, |e| key(e, src));
+            ev
+        }
     }
 
     /// Removes and returns the earliest event, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<Event> {
-        let Reverse(ev) = self.heap.pop()?;
-        self.now = ev.time;
-        Some(ev)
+        let (src, _) = self.earliest()?;
+        Some(self.take(src))
     }
 
     /// Removes and returns the earliest event **strictly before** `limit`,
     /// if any, so the caller may still schedule events at `limit`
     /// afterwards.
+    #[inline]
     pub fn pop_before(&mut self, limit: u64) -> Option<Event> {
-        if self.peek_time()? < limit {
-            self.pop()
-        } else {
-            None
+        match self.earliest()? {
+            (src, t) if t < limit => Some(self.take(src)),
+            _ => None,
         }
     }
 
@@ -139,17 +261,17 @@ impl EventQueue {
 
     /// Earliest scheduled time without removing the event.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.earliest().map(|(_, t)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.fronts == [NONE; MAX_LANES + 1]
     }
 }
 

@@ -14,6 +14,12 @@
 //!
 //! Garbage-collection operations ride the write class — they are internal
 //! writes and must not preempt host reads.
+//!
+//! [`PriorityQueue`] takes the policy at `push` as well as at `pop`: under
+//! FIFO every entry goes into one deque in push order, so arrival order
+//! needs no per-entry sequence number and `pop` is one `pop_front`. Read
+//! priority keeps one deque per class; it compares only the bypass count,
+//! never arrival order across classes.
 
 use std::collections::VecDeque;
 
@@ -44,24 +50,23 @@ pub enum SchedPolicy {
 /// holds: unit queues carry whole waiting-command records, bus queues
 /// carry unit indices.
 ///
-/// Entries carry a queue-local `u32` sequence number so FIFO order across
-/// classes is recoverable in O(1). Sequence numbers wrap; FIFO only ever
-/// compares the two class fronts, whose distance is bounded by the queue
-/// length, so a wrapping compare stays exact.
+/// Under [`SchedPolicy::Fifo`] every entry waits in one deque in push
+/// order; under [`SchedPolicy::ReadPriority`] each class has its own
+/// deque. A queue must be used with one policy from its last reset on.
 #[derive(Debug, Clone)]
 pub struct PriorityQueue<T> {
-    reads: VecDeque<(u32, T)>,
-    writes: VecDeque<(u32, T)>,
-    next_seq: u32,
+    /// Every entry under FIFO; the reads under read priority.
+    head: VecDeque<T>,
+    /// The writes under read priority; empty under FIFO.
+    writes: VecDeque<T>,
     bypass: u32,
 }
 
 impl<T> Default for PriorityQueue<T> {
     fn default() -> Self {
         Self {
-            reads: VecDeque::new(),
+            head: VecDeque::new(),
             writes: VecDeque::new(),
-            next_seq: 0,
             bypass: 0,
         }
     }
@@ -73,78 +78,68 @@ impl<T> PriorityQueue<T> {
         Self::default()
     }
 
-    /// Enqueues an entry in its class.
-    pub fn push(&mut self, item: T, class: CmdClass) {
-        let seq = self.next_seq;
-        self.next_seq = seq.wrapping_add(1);
-        match class {
-            CmdClass::Read => self.reads.push_back((seq, item)),
-            CmdClass::Write => self.writes.push_back((seq, item)),
+    /// Enqueues an entry of `class` under `policy`.
+    #[inline]
+    pub fn push(&mut self, item: T, class: CmdClass, policy: SchedPolicy) {
+        match (policy, class) {
+            (SchedPolicy::ReadPriority { .. }, CmdClass::Write) => self.writes.push_back(item),
+            _ => self.head.push_back(item),
         }
     }
 
     /// Dequeues the next entry under `policy`.
+    #[inline]
     pub fn pop(&mut self, policy: SchedPolicy) -> Option<T> {
-        let item = match policy {
-            SchedPolicy::Fifo => match (self.reads.front(), self.writes.front()) {
-                // `rs` is older than `ws` iff it is behind it mod 2^32.
-                (Some(&(rs, _)), Some(&(ws, _))) if (rs.wrapping_sub(ws) as i32) < 0 => {
-                    self.reads.pop_front()
-                }
-                (Some(_), None) => self.reads.pop_front(),
-                _ => self.writes.pop_front(),
-            },
+        match policy {
+            SchedPolicy::Fifo => self.head.pop_front(),
             SchedPolicy::ReadPriority { max_bypass } => {
                 let write_waiting = !self.writes.is_empty();
-                if !self.reads.is_empty() && (!write_waiting || self.bypass < max_bypass) {
+                if !self.head.is_empty() && (!write_waiting || self.bypass < max_bypass) {
                     if write_waiting {
                         self.bypass += 1;
                     }
-                    self.reads.pop_front()
+                    self.head.pop_front()
                 } else if let Some(w) = self.writes.pop_front() {
                     self.bypass = 0;
                     Some(w)
                 } else {
-                    self.reads.pop_front()
+                    self.head.pop_front()
                 }
             }
-        };
-        item.map(|(_, it)| it)
+        }
     }
 
     /// Combined `push` + `pop` on an **empty** queue — the uncontended
     /// fast path taken when a command lands on an idle unit. Semantically
-    /// exact: the sequence counter still advances, and a write popped
-    /// under [`SchedPolicy::ReadPriority`] still resets the bypass budget
-    /// (a read finding no waiting write leaves it untouched, as `pop`
-    /// does). Returns the entry for symmetry with `pop`.
+    /// exact: a write popped under [`SchedPolicy::ReadPriority`] still
+    /// resets the bypass budget (a read finding no waiting write leaves it
+    /// untouched, as `pop` does). Returns the entry for symmetry with
+    /// `pop`.
     #[inline]
     pub fn push_pop_empty(&mut self, item: T, class: CmdClass, policy: SchedPolicy) -> T {
         debug_assert!(self.is_empty(), "push_pop_empty on a non-empty queue");
-        self.next_seq = self.next_seq.wrapping_add(1);
         if matches!(policy, SchedPolicy::ReadPriority { .. }) && class == CmdClass::Write {
             self.bypass = 0;
         }
         item
     }
 
-    /// Empties the queue and rewinds the sequence and bypass counters to
-    /// the freshly-constructed state, keeping both deque allocations.
+    /// Empties the queue and rewinds the bypass counter to the
+    /// freshly-constructed state, keeping both deque allocations.
     pub fn reset(&mut self) {
-        self.reads.clear();
+        self.head.clear();
         self.writes.clear();
-        self.next_seq = 0;
         self.bypass = 0;
     }
 
     /// Total queued entries.
     pub fn len(&self) -> usize {
-        self.reads.len() + self.writes.len()
+        self.head.len() + self.writes.len()
     }
 
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
+        self.head.is_empty() && self.writes.is_empty()
     }
 }
 
@@ -222,6 +217,7 @@ mod tests {
     use crate::event::CmdId;
     use simrng::{Rng, SimRng};
 
+    const FIFO: SchedPolicy = SchedPolicy::Fifo;
     const RP4: SchedPolicy = SchedPolicy::ReadPriority { max_bypass: 4 };
     const RP8: SchedPolicy = SchedPolicy::ReadPriority { max_bypass: 8 };
 
@@ -229,7 +225,7 @@ mod tests {
     fn empty_queue_pops_none() {
         let mut q = PriorityQueue::<CmdId>::new();
         assert!(q.pop(RP4).is_none());
-        assert!(q.pop(SchedPolicy::Fifo).is_none());
+        assert!(q.pop(FIFO).is_none());
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }
@@ -237,19 +233,20 @@ mod tests {
     #[test]
     fn fifo_preserves_arrival_order_across_classes() {
         let mut q = PriorityQueue::new();
-        q.push(1, CmdClass::Write);
-        q.push(2, CmdClass::Read);
-        q.push(3, CmdClass::Write);
-        q.push(4, CmdClass::Read);
-        let order: Vec<CmdId> = (0..4).map(|_| q.pop(SchedPolicy::Fifo).unwrap()).collect();
+        q.push(1, CmdClass::Write, FIFO);
+        q.push(2, CmdClass::Read, FIFO);
+        q.push(3, CmdClass::Write, FIFO);
+        q.push(4, CmdClass::Read, FIFO);
+        assert_eq!(q.len(), 4);
+        let order: Vec<CmdId> = (0..4).map(|_| q.pop(FIFO).unwrap()).collect();
         assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn read_priority_reads_win_over_writes() {
         let mut q = PriorityQueue::new();
-        q.push(1, CmdClass::Write);
-        q.push(2, CmdClass::Read);
+        q.push(1, CmdClass::Write, RP4);
+        q.push(2, CmdClass::Read, RP4);
         assert_eq!(q.pop(RP4), Some(2));
         assert_eq!(q.pop(RP4), Some(1));
     }
@@ -257,10 +254,10 @@ mod tests {
     #[test]
     fn fifo_within_class_under_read_priority() {
         let mut q = PriorityQueue::new();
-        q.push(1, CmdClass::Read);
-        q.push(2, CmdClass::Read);
-        q.push(3, CmdClass::Write);
-        q.push(4, CmdClass::Write);
+        q.push(1, CmdClass::Read, RP8);
+        q.push(2, CmdClass::Read, RP8);
+        q.push(3, CmdClass::Write, RP8);
+        q.push(4, CmdClass::Write, RP8);
         assert_eq!(q.pop(RP8), Some(1));
         assert_eq!(q.pop(RP8), Some(2));
         assert_eq!(q.pop(RP8), Some(3));
@@ -269,50 +266,51 @@ mod tests {
 
     #[test]
     fn bypass_bound_prevents_write_starvation() {
-        let mut q = PriorityQueue::new();
-        q.push(100, CmdClass::Write);
-        for i in 0..10 {
-            q.push(i, CmdClass::Read);
-        }
         let rp3 = SchedPolicy::ReadPriority { max_bypass: 3 };
+        let mut q = PriorityQueue::new();
+        q.push(100, CmdClass::Write, rp3);
+        for i in 0..10 {
+            q.push(i, CmdClass::Read, rp3);
+        }
         let order: Vec<CmdId> = (0..4).map(|_| q.pop(rp3).unwrap()).collect();
         assert_eq!(order, vec![0, 1, 2, 100]);
     }
 
     #[test]
     fn bypass_counter_resets_after_write() {
-        let mut q = PriorityQueue::new();
-        q.push(100, CmdClass::Write);
-        q.push(101, CmdClass::Write);
-        for i in 0..10 {
-            q.push(i, CmdClass::Read);
-        }
         let rp2 = SchedPolicy::ReadPriority { max_bypass: 2 };
+        let mut q = PriorityQueue::new();
+        q.push(100, CmdClass::Write, rp2);
+        q.push(101, CmdClass::Write, rp2);
+        for i in 0..10 {
+            q.push(i, CmdClass::Read, rp2);
+        }
         let order: Vec<CmdId> = (0..8).map(|_| q.pop(rp2).unwrap()).collect();
         assert_eq!(order, vec![0, 1, 100, 2, 3, 101, 4, 5]);
     }
 
     #[test]
     fn zero_bypass_serves_waiting_writes_first() {
+        let rp0 = SchedPolicy::ReadPriority { max_bypass: 0 };
         let mut q = PriorityQueue::new();
-        q.push(1, CmdClass::Write);
-        q.push(2, CmdClass::Read);
-        assert_eq!(q.pop(SchedPolicy::ReadPriority { max_bypass: 0 }), Some(1));
+        q.push(1, CmdClass::Write, rp0);
+        q.push(2, CmdClass::Read, rp0);
+        assert_eq!(q.pop(rp0), Some(1));
     }
 
     #[test]
     fn reads_do_not_consume_bypass_without_waiting_writes() {
+        let rp2 = SchedPolicy::ReadPriority { max_bypass: 2 };
         let mut q = PriorityQueue::new();
         for i in 0..5 {
-            q.push(i, CmdClass::Read);
+            q.push(i, CmdClass::Read, rp2);
         }
-        let rp2 = SchedPolicy::ReadPriority { max_bypass: 2 };
         for _ in 0..3 {
             q.pop(rp2);
         }
-        q.push(100, CmdClass::Write);
-        q.push(10, CmdClass::Read);
-        q.push(11, CmdClass::Read);
+        q.push(100, CmdClass::Write, rp2);
+        q.push(10, CmdClass::Read, rp2);
+        q.push(11, CmdClass::Read, rp2);
         assert_eq!(q.pop(rp2), Some(3));
         assert_eq!(q.pop(rp2), Some(4));
         assert_eq!(
@@ -338,7 +336,7 @@ mod tests {
 
     /// Pushes one record per seeded class draw; `stamp` is derived from
     /// the id so a popped record can be checked field by field.
-    fn fill(q: &mut PriorityQueue<Rec>, classes: &[bool]) {
+    fn fill(q: &mut PriorityQueue<Rec>, classes: &[bool], policy: SchedPolicy) {
         for (i, &is_read) in classes.iter().enumerate() {
             let class = if is_read {
                 CmdClass::Read
@@ -347,7 +345,7 @@ mod tests {
             };
             let id = i as CmdId;
             let stamp = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            q.push(Rec { id, stamp, class }, class);
+            q.push(Rec { id, stamp, class }, class, policy);
         }
     }
 
@@ -365,14 +363,14 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(seed);
             let classes: Vec<bool> = (0..rng.gen_range(0usize..100)).map(|_| rng.gen()).collect();
             let policy = if rng.gen() {
-                SchedPolicy::Fifo
+                FIFO
             } else {
                 SchedPolicy::ReadPriority {
                     max_bypass: rng.gen_range(0u32..8),
                 }
             };
             let mut q = PriorityQueue::new();
-            fill(&mut q, &classes);
+            fill(&mut q, &classes, policy);
             let mut seen = std::collections::HashSet::new();
             while let Some(r) = q.pop(policy) {
                 assert_intact(&r, &classes, seed);
@@ -393,9 +391,9 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(1000 + seed);
             let classes: Vec<bool> = (0..rng.gen_range(0usize..100)).map(|_| rng.gen()).collect();
             let mut q = PriorityQueue::new();
-            fill(&mut q, &classes);
+            fill(&mut q, &classes, FIFO);
             let mut prev = None;
-            while let Some(r) = q.pop(SchedPolicy::Fifo) {
+            while let Some(r) = q.pop(FIFO) {
                 assert_intact(&r, &classes, seed);
                 if let Some(p) = prev {
                     assert!(r.id > p, "{} after {p} (seed {seed})", r.id);
@@ -403,19 +401,6 @@ mod tests {
                 prev = Some(r.id);
             }
         }
-    }
-
-    /// FIFO order holds across the `u32` sequence wrap.
-    #[test]
-    fn fifo_order_survives_sequence_wrap() {
-        let mut q = PriorityQueue::new();
-        q.next_seq = u32::MAX - 1;
-        q.push(1, CmdClass::Write);
-        q.push(2, CmdClass::Read);
-        q.push(3, CmdClass::Read);
-        q.push(4, CmdClass::Write);
-        let order: Vec<CmdId> = (0..4).map(|_| q.pop(SchedPolicy::Fifo).unwrap()).collect();
-        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     /// A waiting write is served after at most `bound` subsequent pops
@@ -429,11 +414,11 @@ mod tests {
             let policy = SchedPolicy::ReadPriority { max_bypass: bound };
             let mut q = PriorityQueue::new();
             for i in 0..reads_before {
-                q.push(i as CmdId, CmdClass::Read);
+                q.push(i as CmdId, CmdClass::Read, policy);
             }
-            q.push(999, CmdClass::Write);
+            q.push(999, CmdClass::Write, policy);
             for i in 0..20 {
-                q.push(100 + i, CmdClass::Read);
+                q.push(100 + i, CmdClass::Read, policy);
             }
             let mut pops = 0;
             loop {
@@ -444,6 +429,155 @@ mod tests {
                 }
                 assert!(pops <= bound as usize + reads_before + 1, "seed {seed}");
             }
+        }
+    }
+
+    /// The plainest scheduler that could be right: one `Vec` of
+    /// `(class, id)` in push order, searched linearly on every pop.
+    #[derive(Default)]
+    struct NaiveSched {
+        entries: Vec<(CmdClass, CmdId)>,
+        bypass: u32,
+    }
+
+    impl NaiveSched {
+        fn pop(&mut self, policy: SchedPolicy) -> Option<(CmdClass, CmdId)> {
+            let first = |c| self.entries.iter().position(|&(class, _)| class == c);
+            let i = match policy {
+                SchedPolicy::Fifo => (!self.entries.is_empty()).then_some(0)?,
+                SchedPolicy::ReadPriority { max_bypass } => {
+                    match (first(CmdClass::Read), first(CmdClass::Write)) {
+                        (Some(r), Some(_)) if self.bypass < max_bypass => {
+                            self.bypass += 1;
+                            r
+                        }
+                        (Some(r), None) => r,
+                        (_, Some(w)) => {
+                            self.bypass = 0;
+                            w
+                        }
+                        (None, None) => return None,
+                    }
+                }
+            };
+            Some(self.entries.remove(i))
+        }
+
+        fn write_waiting(&self) -> bool {
+            self.entries.iter().any(|&(c, _)| c == CmdClass::Write)
+        }
+    }
+
+    /// Seeded random interleavings of pushes (through `push_pop_empty`
+    /// when the queue is empty, half the time) and pops, against
+    /// [`NaiveSched`] doing a plain push + pop. Returns the popped stream,
+    /// each id tagged with whether a write was waiting when it was popped.
+    fn drive_against_model(seed: u64, policy: SchedPolicy) -> Vec<(CmdId, CmdClass, bool)> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut q = PriorityQueue::new();
+        let mut model = NaiveSched::default();
+        let mut out = Vec::new();
+        for id in 0..400 {
+            if rng.gen_range(0u32..10) < 5 {
+                let class = if rng.gen() {
+                    CmdClass::Read
+                } else {
+                    CmdClass::Write
+                };
+                model.entries.push((class, id));
+                if q.is_empty() && rng.gen() {
+                    let got = q.push_pop_empty(id, class, policy);
+                    assert_eq!(Some((class, got)), model.pop(policy), "seed {seed}");
+                    out.push((got, class, false));
+                } else {
+                    q.push(id, class, policy);
+                }
+            } else {
+                let waiting = model.write_waiting();
+                let want = model.pop(policy);
+                assert_eq!(
+                    q.pop(policy),
+                    want.map(|(_, id)| id),
+                    "pop diverged (seed {seed}, step {id})"
+                );
+                if let Some((class, got)) = want {
+                    out.push((got, class, waiting));
+                }
+            }
+            assert_eq!(q.len(), model.entries.len(), "seed {seed}");
+        }
+        out
+    }
+
+    /// FIFO pops in global push order, matching the naive model, across
+    /// random push/pop interleavings.
+    #[test]
+    fn fifo_matches_naive_model() {
+        for seed in 0..32u64 {
+            let popped = drive_against_model(3000 + seed, FIFO);
+            assert!(
+                popped.windows(2).all(|w| w[0].0 < w[1].0),
+                "FIFO out of push order (seed {seed})"
+            );
+        }
+    }
+
+    /// Read priority matches the naive model pop for pop, and no more
+    /// than `max_bypass` reads ever pass a waiting write.
+    #[test]
+    fn read_priority_matches_naive_model_and_bounds_bypass() {
+        for seed in 0..32u64 {
+            let max_bypass = (seed % 5) as u32;
+            let policy = SchedPolicy::ReadPriority { max_bypass };
+            let mut run = 0u32;
+            for (_, class, write_waiting) in drive_against_model(4000 + seed, policy) {
+                if class == CmdClass::Write {
+                    run = 0;
+                } else if write_waiting {
+                    run += 1;
+                    assert!(run <= max_bypass, "seed {seed}: {run} reads passed a write");
+                }
+            }
+        }
+    }
+
+    /// `push_pop_empty` leaves the queue exactly as `push` + `pop` would:
+    /// two queues, one taking the fast path on every push onto an empty
+    /// queue, pop identically through seeded random interleavings.
+    #[test]
+    fn push_pop_empty_equals_push_then_pop() {
+        for seed in 0..32u64 {
+            let mut rng = SimRng::seed_from_u64(5000 + seed);
+            let policy = match seed % 3 {
+                0 => FIFO,
+                _ => SchedPolicy::ReadPriority {
+                    max_bypass: rng.gen_range(0u32..4),
+                },
+            };
+            let (mut fast, mut slow) = (PriorityQueue::new(), PriorityQueue::new());
+            for id in 0..300 {
+                let class = if rng.gen() {
+                    CmdClass::Read
+                } else {
+                    CmdClass::Write
+                };
+                if fast.is_empty() {
+                    let a = fast.push_pop_empty(id, class, policy);
+                    slow.push(id, class, policy);
+                    assert_eq!(Some(a), slow.pop(policy), "seed {seed}");
+                } else if rng.gen_range(0u32..3) == 0 {
+                    assert_eq!(fast.pop(policy), slow.pop(policy), "seed {seed}");
+                } else {
+                    fast.push(id, class, policy);
+                    slow.push(id, class, policy);
+                }
+                assert_eq!(fast.bypass, slow.bypass, "seed {seed}");
+                assert_eq!(fast.len(), slow.len(), "seed {seed}");
+            }
+            while let Some(a) = fast.pop(policy) {
+                assert_eq!(Some(a), slow.pop(policy), "seed {seed}");
+            }
+            assert!(slow.is_empty(), "seed {seed}");
         }
     }
 }

@@ -78,8 +78,8 @@ impl Phase {
 /// channel are the scheduler slot's own, and the class follows from the
 /// phase.
 ///
-/// Packed to 28 bytes at 4-byte alignment so a queue entry, with its
-/// `u32` sequence number, is exactly 32 bytes.
+/// Packed to 28 bytes at 4-byte alignment; a queue entry is the record
+/// alone.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, packed(4))]
 struct UnitCmd {
@@ -94,8 +94,7 @@ struct UnitCmd {
     phase: Phase,
 }
 
-// A queue entry is the record plus its `u32` sequence number.
-const _: () = assert!(std::mem::size_of::<(u32, UnitCmd)>() <= 32);
+const _: () = assert!(std::mem::size_of::<UnitCmd>() == 28);
 
 /// Free list of [`CmdId`]s. An id is taken when a command spawns and
 /// returned after its last `release_die`, so ids in flight stay unique
@@ -105,8 +104,8 @@ struct CmdIds {
     /// Ids handed out so far; the next fresh id.
     next: CmdId,
     /// Retired ids, reused LIFO by [`CmdIds::alloc`]. Recycling ids is
-    /// safe because every scheduler queue orders by its own insertion
-    /// sequence, never by `CmdId` value.
+    /// safe because every scheduler queue orders by push order,
+    /// never by `CmdId` value.
     free: Vec<CmdId>,
     /// Upper bound on ids (defaults to the full id space; tests shrink it
     /// to force exhaustion).
@@ -567,8 +566,17 @@ impl<P: Probe> SimBuilder<P> {
             b.reset();
         }
         buses.resize_with(geo.channels(), BusSched::default);
+        let transfer_ns = cfg.page_transfer_ns();
+        // One lane per fixed delay the engine schedules: read sense,
+        // program, page transfer, and the immediate host admit; GC ops go
+        // to the heap. A unit holds at most one pending die or bus event,
+        // so each lane and the heap reserve units + channels up front and
+        // the run loop never grows them.
         let mut events = std::mem::take(&mut p.events);
-        events.reset();
+        events.reset_lanes(
+            &[cfg.read_latency_ns, cfg.write_latency_ns, transfer_ns, 0],
+            unit_count + geo.channels(),
+        );
         let mut cmd_ids = std::mem::take(&mut p.cmd_ids);
         cmd_ids.reset();
         let mut reqs = std::mem::take(&mut p.reqs);
@@ -597,7 +605,6 @@ impl<P: Probe> SimBuilder<P> {
         let mut bus_busy_ns = std::mem::take(&mut arena.spare_bus_busy);
         bus_busy_ns.clear();
         bus_busy_ns.resize(geo.channels(), 0);
-        let transfer_ns = cfg.page_transfer_ns();
         let mut sim = Simulator {
             units,
             buses,
@@ -1102,13 +1109,13 @@ impl<P: Probe> Simulator<P> {
         d.backlog += 1;
         // Uncontended fast path: an idle unit with an empty queue starts
         // the command without the queue round trip. `push_pop_empty` keeps
-        // the scheduler's sequence/bypass state exactly as push + pop
-        // would, and the probe/record order below is unchanged.
+        // the scheduler's bypass state exactly as push + pop would, and
+        // the probe/record order below is unchanged.
         let fast_start = !d.busy() && d.queue.is_empty();
         if fast_start {
             d.queue.push_pop_empty(cmd, class, self.cfg.sched_policy);
         } else {
-            d.queue.push(cmd, class);
+            d.queue.push(cmd, class, self.cfg.sched_policy);
         }
         let queue_depth = d.backlog;
         let channel = d.channel;
@@ -1203,7 +1210,7 @@ impl<P: Probe> Simulator<P> {
     fn request_bus(&mut self, unit: usize, class: CmdClass, now: u64) {
         let bus = &mut self.buses[self.units[unit].channel as usize];
         if bus.busy {
-            bus.queue.push(unit as u32, class);
+            bus.queue.push(unit as u32, class, self.cfg.sched_policy);
         } else {
             bus.busy = true;
             self.start_transfer(unit, now);

@@ -197,8 +197,7 @@ impl LabelledDataset {
     }
 }
 
-/// The four optimizer/activation configurations of Figure 4 / Table III,
-/// plus the two Adam components as ablations.
+/// The four optimizer/activation configurations of Figure 4 / Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizerChoice {
     /// SGD, lr 0.2, logistic hidden layer.
@@ -209,10 +208,6 @@ pub enum OptimizerChoice {
     AdamRelu,
     /// Adam lr 0.02, logistic hidden layer (the paper's best).
     AdamLogistic,
-    /// AdaGrad ablation (a component of Adam), ReLU hidden layer.
-    AdaGrad,
-    /// RMSProp ablation (a component of Adam), ReLU hidden layer.
-    RmsProp,
 }
 
 impl OptimizerChoice {
@@ -231,17 +226,13 @@ impl OptimizerChoice {
             OptimizerChoice::SgdMomentum => "SGD-momentum",
             OptimizerChoice::AdamRelu => "Adam-ReLU",
             OptimizerChoice::AdamLogistic => "Adam-logistic",
-            OptimizerChoice::AdaGrad => "AdaGrad",
-            OptimizerChoice::RmsProp => "RMSProp",
         }
     }
 
     /// Hidden-layer activation for this configuration.
     pub fn activation(self) -> Activation {
         match self {
-            OptimizerChoice::AdamRelu | OptimizerChoice::AdaGrad | OptimizerChoice::RmsProp => {
-                Activation::ReLU
-            }
+            OptimizerChoice::AdamRelu => Activation::ReLU,
             _ => Activation::Logistic,
         }
     }
@@ -252,8 +243,6 @@ impl OptimizerChoice {
             OptimizerChoice::Sgd => Box::new(Sgd::paper()),
             OptimizerChoice::SgdMomentum => Box::new(Momentum::paper()),
             OptimizerChoice::AdamRelu | OptimizerChoice::AdamLogistic => Box::new(Adam::paper()),
-            OptimizerChoice::AdaGrad => Box::new(AdaGrad::new(0.02)),
-            OptimizerChoice::RmsProp => Box::new(RmsProp::new(0.02)),
         }
     }
 }
