@@ -35,7 +35,7 @@ impl Activation {
     /// All four functions here admit this form, which lets backprop avoid
     /// caching pre-activations.
     #[inline]
-    pub fn derivative_from_output(self, y: f32) -> f32 {
+    pub(crate) fn derivative_from_output(self, y: f32) -> f32 {
         match self {
             Activation::ReLU => {
                 if y > 0.0 {
@@ -51,7 +51,7 @@ impl Activation {
     }
 
     /// Applies the function in place to a buffer.
-    pub fn apply_slice(self, xs: &mut [f32]) {
+    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
         if self == Activation::Identity {
             return;
         }
@@ -71,7 +71,7 @@ impl Activation {
     }
 
     /// Parses a name produced by [`Activation::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
+    pub(crate) fn from_name(s: &str) -> Option<Self> {
         match s {
             "relu" => Some(Activation::ReLU),
             "logistic" => Some(Activation::Logistic),

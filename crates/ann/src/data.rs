@@ -74,7 +74,7 @@ impl Dataset {
     }
 
     /// Feature width.
-    pub fn feature_width(&self) -> usize {
+    pub(crate) fn feature_width(&self) -> usize {
         self.x.cols()
     }
 
@@ -94,7 +94,7 @@ impl Dataset {
     }
 
     /// Returns a row-shuffled copy using the given RNG.
-    pub fn shuffled(&self, rng: &mut impl Rng) -> Dataset {
+    pub(crate) fn shuffled(&self, rng: &mut impl Rng) -> Dataset {
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.shuffle(rng);
         self.subset(&order)
@@ -120,22 +120,16 @@ impl Dataset {
 
     /// Iterates over `(features, labels)` minibatches of at most
     /// `batch_size` rows, in order.
-    pub fn batches(&self, batch_size: usize) -> impl Iterator<Item = (Matrix, &[usize])> + '_ {
+    pub(crate) fn batches(
+        &self,
+        batch_size: usize,
+    ) -> impl Iterator<Item = (Matrix, &[usize])> + '_ {
         let batch_size = batch_size.max(1);
         (0..self.len()).step_by(batch_size).map(move |start| {
             let end = (start + batch_size).min(self.len());
             let idx: Vec<usize> = (start..end).collect();
             (self.x.gather_rows(&idx), &self.labels[start..end])
         })
-    }
-
-    /// Per-class sample counts.
-    pub fn class_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.classes];
-        for &l in &self.labels {
-            hist[l] += 1;
-        }
-        hist
     }
 }
 
@@ -174,7 +168,6 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(d.feature_width(), 3);
         assert_eq!(d.classes(), 4);
-        assert_eq!(d.class_histogram(), vec![3, 3, 2, 2]);
     }
 
     #[test]
@@ -202,11 +195,12 @@ mod tests {
         let mut rng = simrng::SimRng::seed_from_u64(3);
         let s = d.shuffled(&mut rng);
         assert_eq!(s.len(), d.len());
-        let mut a = s.class_histogram();
-        let mut b = d.class_histogram();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        // Every original row appears exactly once.
+        let mut rows: Vec<usize> = (0..s.len())
+            .map(|i| s.features().row(i)[0] as usize / 3)
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..d.len()).collect::<Vec<_>>());
         // Feature rows must follow their labels.
         for i in 0..s.len() {
             let row = s.features().row(i);

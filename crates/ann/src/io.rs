@@ -15,7 +15,7 @@
 //!
 //! Every weight and bias must be finite: that is what keeps a loaded
 //! network's forward pass bit-identical to the one it was trained with
-//! (see [`crate::matrix::Matrix::matmul_into`]).
+//! (see `Matrix::matmul_into`).
 
 use crate::activation::Activation;
 use crate::layer::Dense;
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn extreme_magnitudes_survive_the_text_format() {
-        let mut rng = crate::network::seeded_rng(0);
+        let mut rng = simrng::SimRng::seed_from_u64(0);
         let mut layer = Dense::new(2, 2, Activation::Identity, &mut rng);
         layer.w = Matrix::from_vec(2, 2, vec![1.0e-30, -1.0e30, 0.0, -0.0]);
         layer.b = vec![f32::MIN_POSITIVE, f32::MAX];

@@ -54,7 +54,7 @@ impl Dense {
 
     /// Forward pass for a batch `x: [batch, fan_in]` → `[batch, fan_out]`.
     /// Each output row depends on its input row alone, through the one
-    /// kernel [`Matrix::matmul_into`].
+    /// kernel `Matrix::matmul_into`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         debug_assert_eq!(x.cols(), self.fan_in());
         let mut out = Matrix::zeros(0, 0);
@@ -70,14 +70,21 @@ impl Dense {
     ///
     /// * `x` — the input that produced `a` (`[batch, fan_in]`);
     /// * `a` — the forward output (`[batch, fan_out]`);
-    /// * `upstream` — `dL/da` (`[batch, fan_out]`).
+    /// * `upstream` — `dL/da` (`[batch, fan_out]`), consumed.
     ///
-    /// Returns the parameter gradients and `dL/dx` for the previous layer.
-    pub fn backward(&self, x: &Matrix, a: &Matrix, upstream: &Matrix) -> (DenseGrads, Matrix) {
+    /// Returns the parameter gradients and `delta = dL/dz` (`upstream ⊙
+    /// act'(a)`). The previous layer's `dL/dx` is `delta × wᵀ`
+    /// ([`Matrix::matmul_t`]); the caller computes it only when a layer
+    /// below needs it.
+    pub(crate) fn backward(
+        &self,
+        x: &Matrix,
+        a: &Matrix,
+        upstream: Matrix,
+    ) -> (DenseGrads, Matrix) {
         debug_assert_eq!(upstream.rows(), x.rows());
         debug_assert_eq!(upstream.cols(), self.fan_out());
-        // delta = upstream ⊙ act'(a)
-        let mut delta = upstream.clone();
+        let mut delta = upstream;
         if self.act != Activation::Identity {
             for i in 0..delta.rows() {
                 let a_row = a.row(i);
@@ -90,8 +97,7 @@ impl Dense {
             w: x.t_matmul(&delta),
             b: delta.column_sums(),
         };
-        let dx = delta.matmul_t(&self.w);
-        (grads, dx)
+        (grads, delta)
     }
 
     /// Bytes of parameter storage, assuming the paper's costing of 16 bytes
@@ -178,7 +184,8 @@ mod tests {
             let x = Matrix::from_rows(&[&[0.3, -0.7, 0.5], &[0.9, 0.1, -0.2]]);
             let a = layer.forward(&x);
             let upstream = Matrix::from_fn(2, 2, |_, _| 1.0); // d(sum)/da = 1
-            let (grads, dx) = layer.backward(&x, &a, &upstream);
+            let (grads, delta) = layer.backward(&x, &a, upstream);
+            let dx = delta.matmul_t(&layer.w);
             let loss = |l: &Dense, x: &Matrix| -> f32 { l.forward(x).as_slice().iter().sum() };
             let h = 1e-3f32;
 

@@ -3,7 +3,7 @@
 use crate::matrix::Matrix;
 
 /// Applies a numerically stable softmax to each row of `logits` in place.
-pub fn softmax_rows(logits: &mut Matrix) {
+pub(crate) fn softmax_rows(logits: &mut Matrix) {
     for i in 0..logits.rows() {
         let row = logits.row_mut(i);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -25,7 +25,7 @@ pub fn softmax_rows(logits: &mut Matrix) {
 /// # Panics
 ///
 /// Panics if `labels.len() != logits.rows()` or a label is out of range.
-pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
+pub(crate) fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
     assert_eq!(labels.len(), logits.rows(), "one label per row required");
     let mut probs = logits.clone();
     softmax_rows(&mut probs);

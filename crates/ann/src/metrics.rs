@@ -28,35 +28,16 @@ pub fn confusion(net: &Network, data: &Dataset) -> Vec<Vec<u32>> {
     m
 }
 
-/// Top-k accuracy: the label appears among the k highest logits.
-pub fn top_k_accuracy(net: &Network, data: &Dataset, k: usize) -> f32 {
-    if data.is_empty() || k == 0 {
-        return 0.0;
-    }
-    let logits = net.forward(data.features());
-    let mut hits = 0usize;
-    for (i, &label) in data.labels().iter().enumerate() {
-        let row = logits.row(i);
-        let target = row[label];
-        let better = row.iter().filter(|&&v| v > target).count();
-        if better < k {
-            hits += 1;
-        }
-    }
-    hits as f32 / data.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::layer::Dense;
     use crate::matrix::Matrix;
-    use crate::network::seeded_rng;
 
     /// A hand-built "network" that copies input feature j to logit j.
     fn identity_net(width: usize) -> Network {
-        let mut rng = seeded_rng(0);
+        let mut rng = simrng::SimRng::seed_from_u64(0);
         let mut layer = Dense::new(width, width, Activation::Identity, &mut rng);
         layer.w = Matrix::from_fn(width, width, |i, j| if i == j { 1.0 } else { 0.0 });
         layer.b = vec![0.0; width];
@@ -107,16 +88,5 @@ mod tests {
         let m = confusion(&net, &data);
         assert_eq!(m[0][1], 2);
         assert_eq!(m[0][0], 0);
-    }
-
-    #[test]
-    fn top_k_expands_hits() {
-        let net = identity_net(4);
-        // argmax is class 3 but the label is the runner-up class 2.
-        let x = Matrix::from_rows(&[&[0.0, 0.1, 0.8, 0.9]]);
-        let data = Dataset::new(x, vec![2], 4).unwrap();
-        assert_eq!(top_k_accuracy(&net, &data, 1), 0.0);
-        assert_eq!(top_k_accuracy(&net, &data, 2), 1.0);
-        assert_eq!(top_k_accuracy(&net, &data, 0), 0.0);
     }
 }

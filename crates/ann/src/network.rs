@@ -48,7 +48,7 @@ impl Network {
     ///
     /// Panics if consecutive layers have mismatched widths or no layers
     /// are given.
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
+    pub(crate) fn from_layers(layers: Vec<Dense>) -> Self {
         assert!(!layers.is_empty(), "a network needs at least one layer");
         for pair in layers.windows(2) {
             assert_eq!(pair[0].fan_out(), pair[1].fan_in(), "layer width mismatch");
@@ -84,7 +84,7 @@ impl Network {
 
     /// Forward pass keeping every intermediate activation
     /// (`[x, a1, ..., logits]`); used by backprop.
-    pub fn forward_trace(&self, x: &Matrix) -> Vec<Matrix> {
+    pub(crate) fn forward_trace(&self, x: &Matrix) -> Vec<Matrix> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x.clone());
         for layer in &self.layers {
@@ -129,16 +129,20 @@ impl Network {
     }
 
     /// Mean softmax cross-entropy loss and per-layer parameter gradients
-    /// for a labelled batch.
-    pub fn loss_and_grads(&self, x: &Matrix, labels: &[usize]) -> (f32, Vec<DenseGrads>) {
+    /// for a labelled batch. The input layer's `dL/dx` feeds no parameter
+    /// and is never computed.
+    pub(crate) fn loss_and_grads(&self, x: &Matrix, labels: &[usize]) -> (f32, Vec<DenseGrads>) {
         let acts = self.forward_trace(x);
         let logits = acts.last().expect("non-empty trace");
         let (loss, mut upstream) = softmax_cross_entropy(logits, labels);
         let mut grads: Vec<DenseGrads> = Vec::with_capacity(self.layers.len());
         for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (g, dx) = layer.backward(&acts[idx], &acts[idx + 1], &upstream);
+            let (g, delta) = layer.backward(&acts[idx], &acts[idx + 1], upstream);
             grads.push(g);
-            upstream = dx;
+            if idx == 0 {
+                break;
+            }
+            upstream = delta.matmul_t(&layer.w);
         }
         grads.reverse();
         (loss, grads)
@@ -203,11 +207,6 @@ impl NetworkBuilder {
             layers: self.layers,
         }
     }
-}
-
-/// A fresh seeded RNG, for custom layer initialization in tests/examples.
-pub fn seeded_rng(seed: u64) -> simrng::SimRng {
-    simrng::SimRng::seed_from_u64(seed)
 }
 
 #[cfg(test)]
@@ -303,7 +302,7 @@ mod tests {
 
     #[test]
     fn from_layers_validates_widths() {
-        let mut rng = seeded_rng(0);
+        let mut rng = simrng::SimRng::seed_from_u64(0);
         let l1 = Dense::new(2, 4, Activation::ReLU, &mut rng);
         let l2 = Dense::new(4, 3, Activation::Identity, &mut rng);
         let net = Network::from_layers(vec![l1.clone(), l2]);
