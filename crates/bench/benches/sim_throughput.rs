@@ -576,9 +576,9 @@ fn write_json(
     let phase = |h: &flash_sim::PhaseHist| {
         format!(
             "{{ \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {} }}",
-            h.mean(),
-            h.percentile(0.50),
-            h.percentile(0.99),
+            h.mean_ns(),
+            h.percentile_ns(0.50),
+            h.percentile_ns(0.99),
         )
     };
     let mut body = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"workloads\": {\n");
@@ -615,9 +615,9 @@ fn write_json(
             phase(&p.wait_bus),
             phase(&p.transfer),
             phase(&p.gc_exec),
-            p.queue_depth.mean(),
-            p.queue_depth.percentile(0.50),
-            p.queue_depth.percentile(0.99),
+            p.queue_depth.mean_ns(),
+            p.queue_depth.percentile_ns(0.50),
+            p.queue_depth.percentile_ns(0.99),
         );
         println!(
             "sim_throughput: {} speedup vs baseline: {speedup:.3}x",

@@ -85,7 +85,7 @@ pub fn run(cfg: &Fig2Config) -> Vec<Fig2Point> {
 
 /// Which latency series of a point to extract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Series {
+pub(crate) enum Series {
     /// Figure 2(a): mean write latency.
     Write,
     /// Figure 2(b): mean read latency.
@@ -104,7 +104,7 @@ impl Series {
     }
 
     /// Subplot title.
-    pub fn title(self) -> &'static str {
+    pub(crate) fn title(self) -> &'static str {
         match self {
             Series::Write => "Figure 2(a): normalized WRITE latency (Shared = 1.00)",
             Series::Read => "Figure 2(b): normalized READ latency (Shared = 1.00)",
@@ -115,7 +115,7 @@ impl Series {
 
 /// Renders one subplot as a table: rows = strategies, columns = write
 /// proportions, cells normalized to `Shared`.
-pub fn render_series(points: &[Fig2Point], series: Series) -> String {
+pub(crate) fn render_series(points: &[Fig2Point], series: Series) -> String {
     let strategies: Vec<Strategy> = points[0].evals.iter().map(|e| e.strategy).collect();
     let mut headers: Vec<String> = vec!["strategy".to_string()];
     headers.extend(points.iter().map(|p| format!("{}%", p.write_pct)));
@@ -134,7 +134,7 @@ pub fn render_series(points: &[Fig2Point], series: Series) -> String {
 
 /// The paper's headline: the max/min total-latency ratio across
 /// strategies at a given write proportion ("up to 10.6×" at 50 %).
-pub fn max_spread(points: &[Fig2Point]) -> (u32, f64) {
+pub(crate) fn max_spread(points: &[Fig2Point]) -> (u32, f64) {
     let mut best = (0u32, 0.0f64);
     for p in points {
         let lo = p

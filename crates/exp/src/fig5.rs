@@ -75,12 +75,12 @@ pub struct MixResult {
 impl MixResult {
     /// Total-latency improvement of SSDKeeper (no hybrid) over `Shared`,
     /// as a fraction (positive = better).
-    pub fn improvement_vs_shared(&self) -> f64 {
+    pub(crate) fn improvement_vs_shared(&self) -> f64 {
         1.0 - self.keeper.total_latency_metric_us() / self.shared.total_latency_metric_us()
     }
 
     /// Extra improvement contributed by hybrid page allocation.
-    pub fn hybrid_gain(&self) -> f64 {
+    pub(crate) fn hybrid_gain(&self) -> f64 {
         1.0 - self.keeper_hybrid.total_latency_metric_us() / self.keeper.total_latency_metric_us()
     }
 }

@@ -11,7 +11,7 @@ use ssdkeeper::{ChannelAllocator, FeatureVector};
 use std::collections::HashMap;
 
 /// Number of write-proportion buckets on the y-axis.
-pub const WP_BUCKETS: usize = 11; // 0.0, 0.1, ... 1.0
+pub(crate) const WP_BUCKETS: usize = 11; // 0.0, 0.1, ... 1.0
 
 /// The strategy map: `cells[wp_bucket][level]` holds the dominant
 /// canonical label (empty when no sample fell in the cell).

@@ -19,7 +19,7 @@ pub mod table;
 pub mod traces;
 
 /// Default directory for datasets and models produced by the harness.
-pub const ARTIFACT_DIR: &str = "artifacts";
+pub(crate) const ARTIFACT_DIR: &str = "artifacts";
 
 /// Ensures the artifact directory exists and returns the path of `name`
 /// inside it.
@@ -31,7 +31,8 @@ pub fn artifact_path(name: &str) -> std::path::PathBuf {
 
 /// Files in [`ARTIFACT_DIR`] that the benchmark reads as fixed inputs. No
 /// command writes one of them by default.
-pub const PINNED_ARTIFACTS: [&str; 2] = ["dataset.txt", "model.txt"];
+#[cfg(test)]
+const PINNED_ARTIFACTS: [&str; 2] = ["dataset.txt", "model.txt"];
 
 /// Default file name of a `dataset` run: it names the command's inputs,
 /// e.g. `dataset_2400x2500_s1.txt` for 2,400 samples of 2,500 requests at

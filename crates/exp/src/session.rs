@@ -25,7 +25,7 @@ pub struct ObsSession {
 
 /// Environment variable naming the folded-span output path when no
 /// `--spans` flag is given.
-pub const SPANS_ENV: &str = "SSDKEEPER_SPANS";
+pub(crate) const SPANS_ENV: &str = "SSDKEEPER_SPANS";
 
 impl ObsSession {
     /// Starts the sampler/span session from the parsed CLI flags.

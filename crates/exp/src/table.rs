@@ -70,7 +70,7 @@ pub fn f2(v: f64) -> String {
 }
 
 /// Formats a float with 3 decimal places.
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 

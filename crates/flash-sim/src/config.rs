@@ -8,9 +8,9 @@
 use crate::scheduler::SchedPolicy;
 
 /// Nanoseconds per microsecond, used throughout the timing model.
-pub const US: u64 = 1_000;
+pub(crate) const US: u64 = 1_000;
 /// Nanoseconds per millisecond.
-pub const MS: u64 = 1_000_000;
+pub(crate) const MS: u64 = 1_000_000;
 
 /// Full hardware description of the simulated SSD.
 ///
@@ -136,31 +136,6 @@ impl SsdConfig {
     pub fn page_transfer_ns(&self) -> u64 {
         let bytes_per_ns = self.bus_mb_per_s as f64 * 1e6 / 1e9;
         (self.page_size as f64 / bytes_per_ns).round() as u64
-    }
-
-    /// Total number of dies in the device.
-    pub fn total_dies(&self) -> usize {
-        self.channels * self.chips_per_channel * self.dies_per_chip
-    }
-
-    /// Dies attached to a single channel.
-    pub fn dies_per_channel(&self) -> usize {
-        self.chips_per_channel * self.dies_per_chip
-    }
-
-    /// Total number of planes in the device.
-    pub fn total_planes(&self) -> usize {
-        self.total_dies() * self.planes_per_die
-    }
-
-    /// Total number of physical pages in the device.
-    pub fn total_pages(&self) -> u64 {
-        self.total_planes() as u64 * self.blocks_per_plane as u64 * self.pages_per_block as u64
-    }
-
-    /// Raw capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() * self.page_size as u64
     }
 
     /// Checks structural and timing sanity; the simulator refuses invalid
@@ -304,22 +279,14 @@ mod tests {
     #[test]
     fn table1_capacity_is_512_gb() {
         let cfg = SsdConfig::paper_table1();
-        assert_eq!(cfg.capacity_bytes(), 512u64 << 30);
+        let pages = crate::geometry::Geometry::new(&cfg).total_pages();
+        assert_eq!(pages * cfg.page_size as u64, 512u64 << 30);
     }
 
     #[test]
     fn table1_page_transfer_is_82us() {
         let cfg = SsdConfig::paper_table1();
         assert_eq!(cfg.page_transfer_ns(), 81_920);
-    }
-
-    #[test]
-    fn table1_counts() {
-        let cfg = SsdConfig::paper_table1();
-        assert_eq!(cfg.total_dies(), 16);
-        assert_eq!(cfg.dies_per_channel(), 2);
-        assert_eq!(cfg.total_planes(), 64);
-        assert_eq!(cfg.total_pages(), 64 * 4096 * 128);
     }
 
     #[test]
@@ -396,7 +363,6 @@ mod tests {
             blocks_per_plane: 1 << 19,
             ..SsdConfig::paper_table1()
         };
-        assert_eq!(cfg.total_pages(), 1 << 32);
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::TooLarge {
@@ -416,7 +382,7 @@ mod tests {
             pages_per_block: 1,
             ..SsdConfig::small_test()
         };
-        assert_eq!(largest.total_pages(), u32::MAX as u64);
+        assert_eq!(3 * 5 * 17 * 257 * 65_537, u32::MAX);
         largest.validate().unwrap();
     }
 

@@ -33,7 +33,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// is in flight and recycled after it retires.
 pub type CmdId = u32;
 /// Identifier of a host request in the engine's arena.
-pub type ReqId = u32;
+pub(crate) type ReqId = u32;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

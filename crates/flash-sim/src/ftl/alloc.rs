@@ -39,7 +39,7 @@ impl std::fmt::Display for PageAllocPolicy {
 /// Striping order is channel-first, then die-within-channel, then plane:
 /// consecutive LPNs hit different channels, so a `size`-page sequential read
 /// engages `min(size, |channels|)` buses at once.
-pub fn static_plane(geo: &Geometry, tenant: &TenantState, lpn: u64) -> usize {
+pub(crate) fn static_plane(geo: &Geometry, tenant: &TenantState, lpn: u64) -> usize {
     let set = &tenant.channels;
     let nch = set.len() as u64;
     let dies_per_channel = geo.dies_per_channel() as u64;
@@ -65,7 +65,7 @@ pub fn static_plane(geo: &Geometry, tenant: &TenantState, lpn: u64) -> usize {
 /// before any channel's second plane), so a burst of writes arriving at an
 /// idle device fans out across buses instead of piling onto one channel —
 /// the same parallelism static striping gets.
-pub fn dynamic_plane(
+pub(crate) fn dynamic_plane(
     geo: &Geometry,
     tenant: &TenantState,
     plane_backlog: &[u32],

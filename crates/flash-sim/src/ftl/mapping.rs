@@ -1,20 +1,20 @@
 //! Per-tenant page-level address mapping.
 //!
 //! Each tenant owns a dense logical page space (`0..lpn_space`) and a flat
-//! table from LPN to packed physical page id (see
-//! [`crate::geometry::Geometry::pack_page`]). A dense `Vec<u32>` is used
-//! instead of a hash map: lookups are on the critical path of every
-//! simulated I/O, and the spaces involved (2²⁰ pages by default) make the
-//! table small (4 MB/tenant) and perfectly cache-predictable.
+//! table from LPN to packed physical page id
+//! (`plane * pages_per_plane + block * pages_per_block + page`). A dense
+//! `Vec<u32>` is used instead of a hash map: lookups are on the critical
+//! path of every simulated I/O, and the spaces involved (2²⁰ pages by
+//! default) make the table small (4 MB/tenant) and perfectly
+//! cache-predictable.
 
 /// Sentinel for "never mapped".
 const UNMAPPED: u32 = u32::MAX;
 
 /// Logical-to-physical table for one tenant.
 #[derive(Debug, Clone)]
-pub struct TenantMap {
+pub(crate) struct TenantMap {
     table: Vec<u32>,
-    mapped: u64,
 }
 
 impl TenantMap {
@@ -27,7 +27,6 @@ impl TenantMap {
         assert!(lpn_space > 0, "tenant logical space must be non-empty");
         Self {
             table: vec![UNMAPPED; lpn_space as usize],
-            mapped: 0,
         }
     }
 
@@ -43,17 +42,11 @@ impl TenantMap {
         assert!(lpn_space > 0, "tenant logical space must be non-empty");
         self.table.clear();
         self.table.resize(lpn_space as usize, UNMAPPED);
-        self.mapped = 0;
     }
 
     /// Size of the logical space.
     pub fn lpn_space(&self) -> u64 {
         self.table.len() as u64
-    }
-
-    /// Number of LPNs currently mapped.
-    pub fn mapped_count(&self) -> u64 {
-        self.mapped
     }
 
     /// Looks up an LPN. `lpn` must be `< lpn_space`.
@@ -72,25 +65,12 @@ impl TenantMap {
             ppa, UNMAPPED,
             "u32::MAX is reserved as the unmapped sentinel"
         );
-        let slot = &mut self.table[lpn as usize];
-        if *slot == UNMAPPED {
-            self.mapped += 1;
-        }
-        *slot = ppa;
-    }
-
-    /// Removes a mapping (used only by tests and invariant checks; the FTL
-    /// itself never unmaps, it remaps).
-    pub fn clear(&mut self, lpn: u64) {
-        let slot = &mut self.table[lpn as usize];
-        if *slot != UNMAPPED {
-            self.mapped -= 1;
-            *slot = UNMAPPED;
-        }
+        self.table[lpn as usize] = ppa;
     }
 
     /// Iterates over `(lpn, packed_ppa)` pairs that are currently mapped.
-    pub fn iter_mapped(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter_mapped(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.table
             .iter()
             .enumerate()
@@ -102,13 +82,11 @@ impl TenantMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simrng::{Rng, SimRng};
 
     #[test]
     fn new_map_is_empty() {
         let m = TenantMap::new(16);
         assert_eq!(m.lpn_space(), 16);
-        assert_eq!(m.mapped_count(), 0);
         assert!(m.get(0).is_none());
         assert_eq!(m.iter_mapped().count(), 0);
     }
@@ -120,18 +98,17 @@ mod tests {
     }
 
     #[test]
-    fn set_get_clear_cycle() {
+    fn set_get_remap_cycle() {
         let mut m = TenantMap::new(8);
         m.set(3, 42);
         assert_eq!(m.get(3), Some(42));
-        assert_eq!(m.mapped_count(), 1);
+        assert_eq!(m.iter_mapped().count(), 1);
         m.set(3, 43); // remap does not change count
-        assert_eq!(m.mapped_count(), 1);
-        m.clear(3);
+        assert_eq!(m.get(3), Some(43));
+        assert_eq!(m.iter_mapped().count(), 1);
+        m.reset(8);
         assert!(m.get(3).is_none());
-        assert_eq!(m.mapped_count(), 0);
-        m.clear(3); // idempotent
-        assert_eq!(m.mapped_count(), 0);
+        assert_eq!(m.iter_mapped().count(), 0);
     }
 
     #[test]
@@ -140,29 +117,5 @@ mod tests {
         m.set(5, 50);
         m.set(1, 10);
         assert_eq!(m.iter_mapped().collect::<Vec<_>>(), vec![(1, 10), (5, 50)]);
-    }
-
-    /// mapped_count always equals the number of distinct mapped LPNs,
-    /// over seeded random set/clear sequences.
-    #[test]
-    fn mapped_count_is_consistent() {
-        for seed in 0..32u64 {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut m = TenantMap::new(32);
-            let ops = rng.gen_range(0usize..200);
-            for _ in 0..ops {
-                let lpn = rng.gen_range(0u64..32);
-                if rng.gen_bool(0.5) {
-                    m.set(lpn, rng.gen_range(0u32..1000));
-                } else {
-                    m.clear(lpn);
-                }
-            }
-            assert_eq!(
-                m.mapped_count(),
-                m.iter_mapped().count() as u64,
-                "seed {seed}"
-            );
-        }
     }
 }

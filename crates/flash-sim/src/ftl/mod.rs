@@ -27,7 +27,7 @@ use mapping::TenantMap;
 
 /// Per-page FTL state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageState {
+pub(crate) enum PageState {
     /// Never written since the last erase.
     Free,
     /// Holds live data for `(tenant, lpn)`.
@@ -42,9 +42,9 @@ pub enum PageState {
 }
 
 /// One erase block's counters. Its page states live in the owning
-/// plane's table ([`PlaneState::page`]).
+/// plane's page table.
 #[derive(Debug, Clone, Default)]
-pub struct BlockState {
+pub(crate) struct BlockState {
     /// Write pointer: next free page index, `== pages_per_block` when full.
     /// Every page at or above it is `Free`.
     pub(crate) next_page: u32,
@@ -56,14 +56,14 @@ pub struct BlockState {
 
 impl BlockState {
     /// Whether the write pointer has reached the end of the block.
-    pub fn is_full(&self, pages_per_block: usize) -> bool {
+    pub(crate) fn is_full(&self, pages_per_block: usize) -> bool {
         self.next_page as usize >= pages_per_block
     }
 }
 
 /// One plane: the unit of page allocation and garbage collection.
 #[derive(Debug, Clone)]
-pub struct PlaneState {
+pub(crate) struct PlaneState {
     /// All blocks in the plane.
     pub(crate) blocks: Vec<BlockState>,
     /// Page states of blocks `0..touched`, block-major: page `p` of block
@@ -218,6 +218,7 @@ impl PlaneState {
 
     /// State of page `page` in block `block`; `Free` for a block at or
     /// above the watermark, which has no table entries.
+    #[cfg(test)]
     pub(crate) fn page(&self, block: usize, page: u32) -> PageState {
         debug_assert!((page as usize) < self.bucket_pages_per_block());
         self.pages
@@ -432,12 +433,12 @@ impl Ftl {
     }
 
     /// Free pages remaining in a flat plane.
-    pub fn plane_free_pages(&self, plane: usize) -> u64 {
+    pub(crate) fn plane_free_pages(&self, plane: usize) -> u64 {
         self.planes[plane].free_pages
     }
 
     /// Number of erased spare blocks in a flat plane.
-    pub fn plane_free_blocks(&self, plane: usize) -> usize {
+    pub(crate) fn plane_free_blocks(&self, plane: usize) -> usize {
         self.planes[plane].free_blocks.len()
             + usize::from(self.planes[plane].active_block.is_some())
     }
@@ -448,7 +449,7 @@ impl Ftl {
     /// allocated via the static policy (so pre-existing data is striped the
     /// way a freshly formatted device would hold it) with no timing cost,
     /// modelling data that was already on flash before the trace began.
-    pub fn translate_read(
+    pub(crate) fn translate_read(
         &mut self,
         tenant: u16,
         lpn: u64,
@@ -716,8 +717,8 @@ impl Ftl {
     }
 
     /// Validates internal invariants; used by tests.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) {
         let ppb = self.pages_per_block;
         for (pi, plane) in self.planes.iter().enumerate() {
             // The page table covers exactly the blocks below the reset
@@ -959,7 +960,6 @@ mod tests {
         assert_eq!(warm.maps.len(), fresh.maps.len());
         for (w, f) in warm.maps.iter().zip(&fresh.maps) {
             assert_eq!(w.lpn_space(), f.lpn_space());
-            assert_eq!(w.mapped_count(), 0);
             assert_eq!(w.iter_mapped().count(), 0);
         }
         assert_eq!(warm.stats, fresh.stats);

@@ -42,7 +42,7 @@ impl WearSummary {
 /// answered from the per-plane erase maxima in O(planes): all counts are
 /// 0, so the streaming pass would produce exactly `+0.0` for both the
 /// mean and the standard deviation, which is what `default` holds.
-pub fn wear_summary(ftl: &Ftl) -> WearSummary {
+pub(crate) fn wear_summary(ftl: &Ftl) -> WearSummary {
     let geo = ftl.geometry();
     let blocks = geo.total_planes() * geo.blocks_per_plane();
     if blocks == 0 || (0..geo.total_planes()).all(|p| ftl.plane_ref(p).max_erase == 0) {

@@ -112,12 +112,12 @@ impl Geometry {
     }
 
     /// Dies per channel.
-    pub fn dies_per_channel(&self) -> usize {
+    pub(crate) fn dies_per_channel(&self) -> usize {
         self.chips_per_channel * self.dies_per_chip
     }
 
     /// Total dies in the device.
-    pub fn total_dies(&self) -> usize {
+    pub(crate) fn total_dies(&self) -> usize {
         self.channels * self.dies_per_channel()
     }
 
@@ -127,7 +127,7 @@ impl Geometry {
     }
 
     /// Total planes in the device.
-    pub fn total_planes(&self) -> usize {
+    pub(crate) fn total_planes(&self) -> usize {
         self.total_dies() * self.planes_per_die
     }
 
@@ -142,58 +142,58 @@ impl Geometry {
     }
 
     /// Pages per plane.
-    pub fn pages_per_plane(&self) -> usize {
+    pub(crate) fn pages_per_plane(&self) -> usize {
         self.blocks_per_plane * self.pages_per_block
     }
 
     /// Total physical pages in the device.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.total_planes() as u64 * self.pages_per_plane() as u64
     }
 
     /// Flat die index of an address.
-    pub fn die_index(&self, addr: &PhysAddr) -> usize {
+    pub(crate) fn die_index(&self, addr: &PhysAddr) -> usize {
         (addr.channel as usize * self.chips_per_channel + addr.chip as usize) * self.dies_per_chip
             + addr.die as usize
     }
 
     /// Flat die index from `(channel, die-within-channel)` coordinates.
-    pub fn die_index_of(&self, channel: usize, die_in_channel: usize) -> usize {
+    pub(crate) fn die_index_of(&self, channel: usize, die_in_channel: usize) -> usize {
         debug_assert!(channel < self.channels);
         debug_assert!(die_in_channel < self.dies_per_channel());
         channel * self.dies_per_channel() + die_in_channel
     }
 
     /// Channel that owns a flat die index.
-    pub fn channel_of_die(&self, die: usize) -> usize {
+    pub(crate) fn channel_of_die(&self, die: usize) -> usize {
         die / self.dies_per_channel()
     }
 
     /// Flat plane index of an address.
-    pub fn plane_index(&self, addr: &PhysAddr) -> usize {
+    pub(crate) fn plane_index(&self, addr: &PhysAddr) -> usize {
         self.die_index(addr) * self.planes_per_die + addr.plane as usize
     }
 
     /// Flat plane index from `(die, plane-within-die)`.
-    pub fn plane_index_of(&self, die: usize, plane: usize) -> usize {
+    pub(crate) fn plane_index_of(&self, die: usize, plane: usize) -> usize {
         debug_assert!(plane < self.planes_per_die);
         die * self.planes_per_die + plane
     }
 
     /// Die that owns a flat plane index.
-    pub fn die_of_plane(&self, plane: usize) -> usize {
+    pub(crate) fn die_of_plane(&self, plane: usize) -> usize {
         plane / self.planes_per_die
     }
 
     /// Channel that owns a flat plane index.
-    pub fn channel_of_plane(&self, plane: usize) -> usize {
+    pub(crate) fn channel_of_plane(&self, plane: usize) -> usize {
         self.coords[plane].channel as usize
     }
 
     /// Resolves `(flat plane, block, page)` to a full address from the
     /// precomputed coordinate table — no division, no modulo.
     #[inline]
-    pub fn addr_at(&self, plane: usize, block: u32, page: u32) -> PhysAddr {
+    pub(crate) fn addr_at(&self, plane: usize, block: u32, page: u32) -> PhysAddr {
         let c = self.coords[plane];
         PhysAddr {
             channel: c.channel,
@@ -206,9 +206,9 @@ impl Geometry {
     }
 
     /// Packed page id of `(flat plane, block, page)`: one multiply off the
-    /// plane's precomputed base. Equals `pack_page(&addr_at(...))`.
+    /// plane's precomputed base.
     #[inline]
-    pub fn packed_at(&self, plane: usize, block: u32, page: u32) -> u32 {
+    pub(crate) fn packed_at(&self, plane: usize, block: u32, page: u32) -> u32 {
         debug_assert!((block as usize) < self.blocks_per_plane);
         debug_assert!((page as usize) < self.pages_per_block);
         self.coords[plane].page_base + block * self.pages_per_block as u32 + page
@@ -217,7 +217,7 @@ impl Geometry {
     /// Splits a packed page id into `(flat plane, block, page)` — the
     /// inverse of [`Self::packed_at`].
     #[inline]
-    pub fn split_packed(&self, packed: u32) -> (usize, u32, u32) {
+    pub(crate) fn split_packed(&self, packed: u32) -> (usize, u32, u32) {
         let packed = packed as usize;
         let within = packed % self.pages_per_plane();
         (
@@ -228,31 +228,33 @@ impl Geometry {
     }
 
     /// Packs a physical page into a dense `u32` page id
-    /// (`plane * pages_per_plane + block * pages_per_block + page`).
+    /// (`plane * pages_per_plane + block * pages_per_block + page`): the
+    /// reference the tests hold [`Self::packed_at`] to.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the address is outside the geometry or the
     /// device has more than `u32::MAX` pages (Table I has ~33.5 M).
-    pub fn pack_page(&self, addr: &PhysAddr) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn pack_page(&self, addr: &PhysAddr) -> u32 {
         self.packed_at(self.plane_index(addr), addr.block, addr.page)
     }
 
-    /// Inverse of [`Geometry::pack_page`].
+    /// Resolves a packed page id to a full address.
     #[inline]
-    pub fn unpack_page(&self, packed: u32) -> PhysAddr {
+    pub(crate) fn unpack_page(&self, packed: u32) -> PhysAddr {
         let (plane, block, page) = self.split_packed(packed);
         self.addr_at(plane, block, page)
     }
 
     /// Iterator over the flat die indices belonging to `channel`.
-    pub fn dies_of_channel(&self, channel: usize) -> impl Iterator<Item = usize> {
+    pub(crate) fn dies_of_channel(&self, channel: usize) -> impl Iterator<Item = usize> {
         let d = self.dies_per_channel();
         (channel * d)..(channel * d + d)
     }
 
     /// Iterator over the flat plane indices belonging to `die`.
-    pub fn planes_of_die(&self, die: usize) -> impl Iterator<Item = usize> {
+    pub(crate) fn planes_of_die(&self, die: usize) -> impl Iterator<Item = usize> {
         let p = self.planes_per_die;
         (die * p)..(die * p + p)
     }

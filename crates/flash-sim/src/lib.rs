@@ -56,14 +56,12 @@ pub mod scheduler;
 pub mod sim;
 pub mod stats;
 pub mod tenant;
-pub mod trace;
 
 pub use config::SsdConfig;
 pub use ftl::alloc::PageAllocPolicy;
-pub use geometry::{Geometry, PhysAddr};
 pub use metrics::{MetricsProbe, MetricsSummary};
 pub use probe::{replay, EventRecorder, NullProbe, Probe, ProbeEvent, Tee};
 pub use request::{IoRequest, Op};
 pub use sim::{validate_trace, Reallocation, SimArena, SimBuilder, SimError, Simulator};
-pub use stats::{LatencyStats, PhaseHist, PhaseReport, SimReport, TenantReport};
-pub use tenant::{ChannelSet, TenantLayout};
+pub use stats::{LatencyStats, PhaseHist, PhaseReport, SimReport};
+pub use tenant::TenantLayout;

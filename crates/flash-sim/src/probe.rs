@@ -32,10 +32,9 @@
 //! [`EventRecorder`] is a bounded ring buffer of [`ProbeEvent`]s: when
 //! full, the oldest event is dropped and a monotone drop counter advances,
 //! so a recorder can stay attached to an arbitrarily long run with bounded
-//! memory. [`encode_events`]/[`decode_events`] persist a recording in the
-//! same pinned little-endian codec style as [`crate::trace`] (SSDP v1,
-//! golden-bytes tested), which is what the `exp` binaries' `--trace-out`
-//! flag writes.
+//! memory. [`encode_events`]/[`decode_events`] persist a recording in a
+//! pinned little-endian codec (SSDP, golden-bytes tested), which is what
+//! the `exp` binaries' `--trace-out` flag writes.
 
 use crate::event::CmdId;
 use crate::scheduler::CmdClass;
@@ -448,7 +447,7 @@ impl Probe for EventRecorder {
 // ---------------------------------------------------------------------------
 // SSDP v2: the persisted form of a recording.
 //
-// Format (little-endian, hand-rolled, layout frozen like SSDT v1):
+// Format (little-endian, hand-rolled, layout frozen):
 //
 //   magic   u32 = 0x53534450 ("SSDP")
 //   version u32 = 2

@@ -15,11 +15,11 @@
 //! Garbage-collection operations ride the write class — they are internal
 //! writes and must not preempt host reads.
 //!
-//! [`PriorityQueue`] takes the policy at `push` as well as at `pop`: under
-//! FIFO every entry goes into one deque in push order, so arrival order
-//! needs no per-entry sequence number and `pop` is one `pop_front`. Read
-//! priority keeps one deque per class; it compares only the bypass count,
-//! never arrival order across classes.
+//! The unit and bus queues take the policy at `push` as well as at
+//! `pop`: under FIFO every entry goes into one deque in push order, so
+//! arrival order needs no per-entry sequence number and `pop` is one
+//! `pop_front`. Read priority keeps one deque per class; it compares only
+//! the bypass count, never arrival order across classes.
 
 use std::collections::VecDeque;
 
@@ -54,7 +54,7 @@ pub enum SchedPolicy {
 /// order; under [`SchedPolicy::ReadPriority`] each class has its own
 /// deque. A queue must be used with one policy from its last reset on.
 #[derive(Debug, Clone)]
-pub struct PriorityQueue<T> {
+pub(crate) struct PriorityQueue<T> {
     /// Every entry under FIFO; the reads under read priority.
     head: VecDeque<T>,
     /// The writes under read priority; empty under FIFO.
@@ -116,7 +116,7 @@ impl<T> PriorityQueue<T> {
     /// untouched, as `pop` does). Returns the entry for symmetry with
     /// `pop`.
     #[inline]
-    pub fn push_pop_empty(&mut self, item: T, class: CmdClass, policy: SchedPolicy) -> T {
+    pub(crate) fn push_pop_empty(&mut self, item: T, class: CmdClass, policy: SchedPolicy) -> T {
         debug_assert!(self.is_empty(), "push_pop_empty on a non-empty queue");
         if matches!(policy, SchedPolicy::ReadPriority { .. }) && class == CmdClass::Write {
             self.bypass = 0;
@@ -133,7 +133,8 @@ impl<T> PriorityQueue<T> {
     }
 
     /// Total queued entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.head.len() + self.writes.len()
     }
 
@@ -150,7 +151,7 @@ impl<T> PriorityQueue<T> {
 /// phases included, so at most one is ever in service: it lives in
 /// `cur`, and the unit is busy exactly while `cur` is `Some`.
 #[derive(Debug, Clone)]
-pub struct DieSched<T> {
+pub(crate) struct DieSched<T> {
     /// The command in service, if any.
     pub cur: Option<T>,
     /// Start of `cur`'s current phase.
@@ -195,7 +196,7 @@ impl<T> DieSched<T> {
 
 /// Scheduling state of one channel bus.
 #[derive(Debug, Clone, Default)]
-pub struct BusSched {
+pub(crate) struct BusSched {
     /// Whether a transfer is in progress.
     pub busy: bool,
     /// Units (each holding a command) waiting for the bus.

@@ -184,7 +184,7 @@ struct ReallocEntry {
 /// One pending layout change.
 ///
 /// Construct with [`Reallocation::new`]; entries are stored as spans over
-/// one flat channel table (see [`ReallocEntry`]) and read back through
+/// one flat channel table and read back through
 /// [`Reallocation::entries`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reallocation {
@@ -224,11 +224,6 @@ impl Reallocation {
             entries,
             channels,
         }
-    }
-
-    /// Number of per-tenant rows.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Iterates the `(tenant index, channels, policy)` rows in the order
@@ -1753,7 +1748,6 @@ mod tests {
         ];
         let realloc = Reallocation::new(42, rows.clone());
         assert_eq!(realloc.at_ns, 42);
-        assert_eq!(realloc.entry_count(), rows.len());
         let back: Vec<(usize, Vec<usize>, Option<PageAllocPolicy>)> = realloc
             .entries()
             .map(|(t, ch, p)| (t, ch.to_vec(), p))
@@ -1903,7 +1897,6 @@ mod tests {
         assert!(r.wait_unit_ns > 0, "second read queues for the die");
         assert!(r.conflict_fraction() > 0.0);
         assert!(r.mean_wait_us() > 0.0);
-        assert!(r.mean_service_us() > 0.0);
     }
 
     #[test]

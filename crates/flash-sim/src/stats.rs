@@ -1,70 +1,107 @@
 //! Latency accounting and end-of-run reports.
 //!
-//! Latencies are accumulated exactly (count/sum/min/max) and approximately
-//! (log₂-bucketed histogram) so reports can print both means — the metric
-//! the paper's figures use — and tail percentiles for the extended
-//! analyses.
+//! Every latency and phase sample lands in one histogram type,
+//! [`Log2Hist`]: exact count, sum, min and max, plus `N` log₂ buckets.
+//! Reports print both means — the metric the paper's figures use — and
+//! tail percentiles for the extended analyses. [`LatencyStats`] (64
+//! buckets) holds request latencies; [`PhaseHist`] (32 buckets, the
+//! always-on per-phase histograms) clamps samples at 2³¹ ns.
 
 use crate::ftl::wear::WearSummary;
 use crate::ftl::FtlStats;
+use std::fmt;
 
-/// Number of log₂ latency buckets (covers 1 ns .. ~584 years).
-const BUCKETS: usize = 64;
-
-/// Streaming latency statistics for one class of I/O.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyStats {
+/// Streaming log₂ histogram: sample `v` lands in bucket
+/// `min(bits(v), N - 1)`, where `bits(0) = 0`, so bucket `i > 0` holds
+/// `[2^(i-1), 2^i)` and the last bucket also holds everything larger.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Log2Hist<const N: usize> {
     /// Number of samples.
     pub count: u64,
-    /// Sum of latencies in nanoseconds.
+    /// Sum of samples in nanoseconds.
     pub sum_ns: u64,
     /// Smallest sample (u64::MAX when empty).
     pub min_ns: u64,
     /// Largest sample.
     pub max_ns: u64,
-    hist: [u64; BUCKETS],
+    /// Samples per log₂ bucket.
+    pub buckets: [u64; N],
 }
 
-impl Default for LatencyStats {
+/// Request-latency histogram: 64 buckets cover every `u64`.
+pub type LatencyStats = Log2Hist<64>;
+
+/// Per-phase histogram: 32 buckets cover 1 ns .. ~2 s, with everything
+/// larger clamped into the last bucket, so the always-on phase
+/// histograms stay small.
+pub type PhaseHist = Log2Hist<PHASE_BUCKETS>;
+
+const PHASE_BUCKETS: usize = 32;
+
+impl<const N: usize> Default for Log2Hist<N> {
     fn default() -> Self {
         Self {
             count: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
-            hist: [0; BUCKETS],
+            buckets: [0; N],
         }
     }
 }
 
-impl LatencyStats {
+/// Renders each alias under its own name and field names, the phase
+/// form without min/max: the fleet digest and the determinism suite's
+/// report pins hash a report's `Debug` text.
+impl<const N: usize> fmt::Debug for Log2Hist<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if N == PHASE_BUCKETS {
+            f.debug_struct("PhaseHist")
+                .field("count", &self.count)
+                .field("sum_ns", &self.sum_ns)
+                .field("buckets", &self.buckets)
+                .finish()
+        } else {
+            f.debug_struct("LatencyStats")
+                .field("count", &self.count)
+                .field("sum_ns", &self.sum_ns)
+                .field("min_ns", &self.min_ns)
+                .field("max_ns", &self.max_ns)
+                .field("hist", &self.buckets)
+                .finish()
+        }
+    }
+}
+
+impl<const N: usize> Log2Hist<N> {
     /// An empty accumulator.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records one latency sample.
-    pub fn record(&mut self, latency_ns: u64) {
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
         self.count += 1;
-        self.sum_ns += latency_ns;
-        self.min_ns = self.min_ns.min(latency_ns);
-        self.max_ns = self.max_ns.max(latency_ns);
-        let bucket = (64 - latency_ns.leading_zeros()) as usize; // ceil(log2)+1, 0 maps to 0
-        self.hist[bucket.min(BUCKETS - 1)] += 1;
+        self.sum_ns += v;
+        self.min_ns = self.min_ns.min(v);
+        self.max_ns = self.max_ns.max(v);
+        let bucket = (64 - v.leading_zeros()) as usize;
+        self.buckets[bucket.min(N - 1)] += 1;
     }
 
     /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
+    pub fn merge(&mut self, other: &Self) {
         self.count += other.count;
         self.sum_ns += other.sum_ns;
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
-        for (a, b) in self.hist.iter_mut().zip(other.hist.iter()) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
     }
 
-    /// Mean latency in nanoseconds (0 when empty).
+    /// Mean sample in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -73,19 +110,21 @@ impl LatencyStats {
         }
     }
 
-    /// Mean latency in microseconds.
+    /// Mean sample in microseconds.
     pub fn mean_us(&self) -> f64 {
         self.mean_ns() / 1_000.0
     }
 
-    /// Approximate percentile (0.0..=1.0) from the log₂ histogram; the
-    /// upper edge of the bucket containing the quantile is returned, so the
-    /// estimate errs high by at most 2×.
+    /// Approximate percentile (0.0..=1.0) from the log₂ buckets: the upper
+    /// edge `1 << i` of the bucket containing the quantile, so the estimate
+    /// errs high by at most 2×. Bucket 0 (samples equal to 0) reports 0,
+    /// and samples clamped into the last bucket report its edge
+    /// `1 << (N - 1)`.
     ///
-    /// Edge-case contract (shared with [`PhaseHist::percentile`]): an
-    /// empty histogram reports 0 for every `q`; out-of-range `q` clamps
-    /// into `[0, 1]` (`q < 0` behaves like 0, `q > 1` like 1); a NaN `q`
-    /// is treated as 0. No input can panic or index past the last bucket.
+    /// Edge-case contract: an empty histogram reports 0 for every `q`;
+    /// out-of-range `q` clamps into `[0, 1]` (`q < 0` behaves like 0,
+    /// `q > 1` like 1); a NaN `q` is treated as 0. No input can panic or
+    /// index past the last bucket.
     pub fn percentile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -93,13 +132,13 @@ impl LatencyStats {
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
         let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, &n) in self.hist.iter().enumerate() {
+        for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
                 return if i == 0 { 0 } else { 1u64 << i };
             }
         }
-        self.max_ns
+        1u64 << (N - 1)
     }
 }
 
@@ -136,15 +175,6 @@ impl LatencyBreakdown {
         }
     }
 
-    /// Mean per-command service time (array + transfer), µs.
-    pub fn mean_service_us(&self) -> f64 {
-        if self.cmds == 0 {
-            0.0
-        } else {
-            (self.array_ns + self.transfer_ns) as f64 / self.cmds as f64 / 1_000.0
-        }
-    }
-
     /// Fraction of command time spent waiting — the conflict share.
     pub fn conflict_fraction(&self) -> f64 {
         let total = self.total_ns();
@@ -153,89 +183,6 @@ impl LatencyBreakdown {
         } else {
             (self.wait_unit_ns + self.wait_bus_ns) as f64 / total as f64
         }
-    }
-}
-
-/// Number of log₂ buckets in a [`PhaseHist`] (covers 1 ns .. ~2 s, with
-/// everything larger clamped into the last bucket). Narrower than
-/// [`LatencyStats`] so the always-on per-phase histograms stay small.
-pub const PHASE_BUCKETS: usize = 32;
-
-/// Fixed-bucket log₂ histogram for one simulation phase. Unlike
-/// [`LatencyStats`] this carries no min/max and a smaller bucket array:
-/// it is recorded on the hot path for every page command, so the record
-/// cost must be a handful of stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseHist {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum_ns: u64,
-    /// Log₂ buckets: sample `v` lands in `min(bits(v), 31)` where
-    /// `bits(0) = 0`.
-    pub buckets: [u64; PHASE_BUCKETS],
-}
-
-impl Default for PhaseHist {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum_ns: 0,
-            buckets: [0; PHASE_BUCKETS],
-        }
-    }
-}
-
-impl PhaseHist {
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum_ns += v;
-        let bucket = (64 - v.leading_zeros()) as usize;
-        self.buckets[bucket.min(PHASE_BUCKETS - 1)] += 1;
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &PhaseHist) {
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate percentile (0.0..=1.0) from the log₂ buckets, using the
-    /// same convention as [`LatencyStats::percentile_ns`]: the upper edge
-    /// `1 << i` of the bucket containing the quantile, so the estimate errs
-    /// high by at most 2×. Bucket 0 (samples equal to 0) reports 0, and an
-    /// empty histogram reports 0 for every quantile. Samples clamped into
-    /// the last bucket report its edge `1 << 31`. Out-of-range and NaN `q`
-    /// follow the same contract as [`LatencyStats::percentile_ns`]: clamp
-    /// into `[0, 1]`, NaN behaves like 0, never panic.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        1u64 << (PHASE_BUCKETS - 1)
     }
 }
 
@@ -278,15 +225,6 @@ pub struct TenantReport {
     pub read: LatencyStats,
     /// Write-request latencies.
     pub write: LatencyStats,
-}
-
-impl TenantReport {
-    /// Reads + writes combined.
-    pub fn combined(&self) -> LatencyStats {
-        let mut all = self.read.clone();
-        all.merge(&self.write);
-        all
-    }
 }
 
 /// End-of-run report for one simulation.
@@ -373,12 +311,15 @@ mod tests {
     use super::*;
     use simrng::{Rng, SimRng};
 
-    #[test]
-    fn empty_stats_are_neutral() {
-        let s = LatencyStats::new();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_ns(), 0.0);
-        assert_eq!(s.percentile_ns(0.99), 0);
+    // Each histogram property below runs at both bucket counts in use:
+    // 64 (`LatencyStats`) and 32 (`PhaseHist`).
+
+    fn hist<const N: usize>(samples: &[u64]) -> Log2Hist<N> {
+        let mut h = Log2Hist::<N>::new();
+        for &v in samples {
+            h.record(v);
+        }
+        h
     }
 
     #[test]
@@ -403,225 +344,173 @@ mod tests {
         assert_eq!(report.events_per_sec(std::time::Duration::ZERO), 0.0);
     }
 
-    #[test]
-    fn record_updates_all_fields() {
-        let mut s = LatencyStats::new();
-        s.record(100);
-        s.record(300);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum_ns, 400);
-        assert_eq!(s.min_ns, 100);
-        assert_eq!(s.max_ns, 300);
-        assert!((s.mean_ns() - 200.0).abs() < 1e-9);
-        assert!((s.mean_us() - 0.2).abs() < 1e-9);
+    fn records_every_field<const N: usize>() {
+        let empty = Log2Hist::<N>::new();
+        assert_eq!((empty.count, empty.min_ns, empty.max_ns), (0, u64::MAX, 0));
+        assert_eq!(empty.mean_ns(), 0.0);
+
+        let h = hist::<N>(&[100, 0, 300]);
+        assert_eq!(h.count, 3);
+        assert_eq!(h.sum_ns, 400);
+        assert_eq!(h.min_ns, 0);
+        assert_eq!(h.max_ns, 300);
+        assert_eq!(h.buckets[0], 1); // a zero sample is representable
+        assert_eq!(h.buckets[7], 1); // 100 needs 7 bits
+        assert_eq!(h.buckets[9], 1); // 300 needs 9 bits
+        assert!((h.mean_ns() - 400.0 / 3.0).abs() < 1e-9);
+        assert!((h.mean_us() - 0.4 / 3.0).abs() < 1e-9);
     }
 
     #[test]
-    fn merge_combines_accumulators() {
-        let mut a = LatencyStats::new();
-        a.record(10);
-        let mut b = LatencyStats::new();
-        b.record(30);
-        b.record(50);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert_eq!(a.sum_ns, 90);
-        assert_eq!(a.min_ns, 10);
-        assert_eq!(a.max_ns, 50);
+    fn record_updates_count_sum_min_max_and_buckets() {
+        records_every_field::<64>();
+        records_every_field::<32>();
     }
 
-    #[test]
-    fn percentile_brackets_true_value() {
-        let mut s = LatencyStats::new();
-        for v in [100u64, 200, 400, 800, 100_000] {
-            s.record(v);
+    fn edge_cases<const N: usize>() {
+        let empty = Log2Hist::<N>::new();
+        for q in [f64::NAN, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, f64::INFINITY] {
+            assert_eq!(empty.percentile_ns(q), 0, "N = {N}, empty, q = {q}");
         }
-        let p50 = s.percentile_ns(0.5);
-        // True median is 400; bucketed estimate must be within 2x above.
-        assert!((400..=800).contains(&p50), "p50 = {p50}");
-        let p100 = s.percentile_ns(1.0);
-        assert!(p100 >= 100_000);
+        let h = hist::<N>(&[100, 200, 400, 800]);
+        // q < 0 and NaN clamp to 0; q > 1 (and +inf) clamp to 1.
+        assert_eq!(h.percentile_ns(-3.0), h.percentile_ns(0.0));
+        assert_eq!(h.percentile_ns(f64::NAN), h.percentile_ns(0.0));
+        assert_eq!(h.percentile_ns(7.5), h.percentile_ns(1.0));
+        assert_eq!(h.percentile_ns(f64::INFINITY), h.percentile_ns(1.0));
     }
 
-    #[test]
-    fn zero_latency_sample_is_representable() {
-        let mut s = LatencyStats::new();
-        s.record(0);
-        assert_eq!(s.min_ns, 0);
-        assert_eq!(s.percentile_ns(1.0), 0);
-    }
-
-    #[test]
-    fn tenant_report_combines_classes() {
-        let mut t = TenantReport::default();
-        t.read.record(10);
-        t.write.record(30);
-        let c = t.combined();
-        assert_eq!(c.count, 2);
-        assert_eq!(c.sum_ns, 40);
-    }
-
-    /// Percentile is monotone in q and bounded by [min-ish, 2*max].
-    #[test]
-    fn percentile_monotone() {
-        for seed in 0..48u64 {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let samples: Vec<u64> = (0..rng.gen_range(1usize..200))
-                .map(|_| rng.gen_range(1u64..1_000_000))
-                .collect();
-            let mut s = LatencyStats::new();
-            for &v in &samples {
-                s.record(v);
-            }
-            let qs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-            let ps: Vec<u64> = qs.iter().map(|&q| s.percentile_ns(q)).collect();
-            for w in ps.windows(2) {
-                assert!(w[0] <= w[1], "seed {seed}");
-            }
-            assert!(
-                ps[ps.len() - 1] <= s.max_ns.next_power_of_two().max(s.max_ns),
-                "seed {seed}"
-            );
-        }
-    }
-
-    /// Regression for the percentile edge-case contract: empty histograms
-    /// report 0, out-of-range q clamps, NaN q behaves like q = 0, and no
-    /// input indexes past the last bucket — for both histogram types.
+    /// The percentile edge-case contract: empty histograms report 0,
+    /// out-of-range q clamps, NaN q behaves like q = 0.
     #[test]
     fn percentile_edge_cases_never_panic() {
-        let empty = LatencyStats::new();
-        for q in [f64::NAN, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, f64::INFINITY] {
-            assert_eq!(empty.percentile_ns(q), 0, "empty hist, q = {q}");
-            assert_eq!(
-                PhaseHist::default().percentile(q),
-                0,
-                "empty phase, q = {q}"
-            );
-        }
+        edge_cases::<64>();
+        edge_cases::<32>();
+    }
 
-        let mut s = LatencyStats::new();
-        let mut h = PhaseHist::default();
-        for v in [100u64, 200, 400, 800] {
-            s.record(v);
-            h.record(v);
+    fn last_bucket_clamps<const N: usize>() {
+        // Samples at and past the last bucket's lower edge clamp into it
+        // and report its edge, for any q, without indexing past it.
+        for v in [1 << (N - 1), u64::MAX] {
+            let h = hist::<N>(&[v]);
+            assert_eq!(h.buckets[N - 1], 1);
+            assert_eq!(h.max_ns, v);
+            for q in [0.0, 0.5, 1.0, 99.0] {
+                assert_eq!(h.percentile_ns(q), 1u64 << (N - 1), "N = {N}, v = {v}");
+            }
         }
-        // q < 0 and NaN clamp to 0; q > 1 (and +inf) clamp to 1.
-        assert_eq!(s.percentile_ns(-3.0), s.percentile_ns(0.0));
-        assert_eq!(s.percentile_ns(f64::NAN), s.percentile_ns(0.0));
-        assert_eq!(s.percentile_ns(7.5), s.percentile_ns(1.0));
-        assert_eq!(s.percentile_ns(f64::INFINITY), s.percentile_ns(1.0));
-        assert_eq!(h.percentile(-3.0), h.percentile(0.0));
-        assert_eq!(h.percentile(f64::NAN), h.percentile(0.0));
-        assert_eq!(h.percentile(7.5), h.percentile(1.0));
-
-        // Samples in the very last bucket with q past 1 still resolve to
-        // the final edge, not an out-of-bounds index.
-        let mut top = LatencyStats::new();
-        top.record(u64::MAX);
-        assert_eq!(top.percentile_ns(99.0), 1u64 << 63);
-        let mut ptop = PhaseHist::default();
-        ptop.record(u64::MAX);
-        assert_eq!(ptop.percentile(99.0), 1u64 << (PHASE_BUCKETS - 1));
+        // The bucket below the last is not clamped.
+        let below = hist::<N>(&[(1 << (N - 2)) - 1]);
+        assert_eq!(below.buckets[N - 2], 1);
+        assert_eq!(below.percentile_ns(1.0), 1u64 << (N - 2));
     }
 
     #[test]
-    fn phase_hist_records_and_merges() {
-        let mut a = PhaseHist::default();
-        a.record(0);
-        a.record(100);
-        assert_eq!(a.count, 2);
-        assert_eq!(a.sum_ns, 100);
-        assert_eq!(a.buckets[0], 1);
-        assert_eq!(a.buckets[7], 1); // 100 needs 7 bits
-        assert!((a.mean() - 50.0).abs() < 1e-9);
+    fn last_bucket_clamp_reports_its_edge() {
+        last_bucket_clamps::<64>();
+        last_bucket_clamps::<32>();
+    }
 
-        // Out-of-range samples clamp into the last bucket.
-        a.record(1 << 60);
-        assert_eq!(a.buckets[PHASE_BUCKETS - 1], 1);
-
-        let mut b = PhaseHist::default();
-        b.record(100);
-        b.merge(&a);
-        assert_eq!(b.count, 4);
-        assert_eq!(b.buckets[7], 2);
-        assert_eq!(PhaseHist::default().mean(), 0.0);
+    fn exact_on_hand_built<const N: usize>() {
+        // 10 samples of 0 (bucket 0), 10 of 3 (bucket 2, edge 4),
+        // 10 of 1000 (bucket 10, edge 1024).
+        let h = hist::<N>(&[[0, 3, 1000]; 10].concat());
+        assert_eq!(h.percentile_ns(0.0), 0); // target clamps to first sample
+        assert_eq!(h.percentile_ns(0.10), 0);
+        assert_eq!(h.percentile_ns(1.0 / 3.0), 0); // exactly the 10th sample
+        assert_eq!(h.percentile_ns(0.34), 4);
+        assert_eq!(h.percentile_ns(2.0 / 3.0), 4);
+        assert_eq!(h.percentile_ns(0.67), 1024);
+        assert_eq!(h.percentile_ns(1.0), 1024);
     }
 
     /// Exact percentile values on a hand-built histogram where every
     /// bucket boundary is known.
     #[test]
-    fn phase_percentile_exact_on_hand_built_histogram() {
-        let mut h = PhaseHist::default();
-        // 10 samples of 0 (bucket 0), 10 of 3 (bucket 2, edge 4),
-        // 10 of 1000 (bucket 10, edge 1024).
-        for _ in 0..10 {
-            h.record(0);
-            h.record(3);
-            h.record(1000);
-        }
-        assert_eq!(h.percentile(0.0), 0); // target clamps to first sample
-        assert_eq!(h.percentile(0.10), 0);
-        assert_eq!(h.percentile(1.0 / 3.0), 0); // exactly the 10th sample
-        assert_eq!(h.percentile(0.34), 4);
-        assert_eq!(h.percentile(2.0 / 3.0), 4);
-        assert_eq!(h.percentile(0.67), 1024);
-        assert_eq!(h.percentile(1.0), 1024);
-        assert_eq!(PhaseHist::default().percentile(0.5), 0);
-
-        // A sample clamped into the last bucket reports its edge.
-        let mut big = PhaseHist::default();
-        big.record(u64::MAX);
-        assert_eq!(big.percentile(1.0), 1u64 << (PHASE_BUCKETS - 1));
+    fn percentile_exact_on_hand_built_histogram() {
+        exact_on_hand_built::<64>();
+        exact_on_hand_built::<32>();
     }
 
-    /// Percentile is monotone in q for arbitrary seeded histograms.
-    #[test]
-    fn phase_percentile_monotone_in_q() {
+    fn monotone<const N: usize>() {
         for seed in 0..48u64 {
             let mut rng = SimRng::seed_from_u64(7_000 + seed);
-            let mut h = PhaseHist::default();
-            for _ in 0..rng.gen_range(1usize..300) {
-                h.record(rng.gen_range(0u64..5_000_000_000));
-            }
-            let qs = [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0];
-            let ps: Vec<u64> = qs.iter().map(|&q| h.percentile(q)).collect();
+            let samples: Vec<u64> = (0..rng.gen_range(1usize..300))
+                .map(|_| rng.gen_range(0u64..5_000_000_000))
+                .collect();
+            let h = hist::<N>(&samples);
+            let qs = [0.0, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0];
+            let ps: Vec<u64> = qs.iter().map(|&q| h.percentile_ns(q)).collect();
             for w in ps.windows(2) {
-                assert!(w[0] <= w[1], "seed {seed}: {ps:?}");
+                assert!(w[0] <= w[1], "N = {N}, seed {seed}: {ps:?}");
+            }
+            assert!(
+                ps[ps.len() - 1] <= h.max_ns.saturating_mul(2),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Percentile is monotone in q and never above twice the maximum.
+    #[test]
+    fn percentile_monotone_in_q() {
+        monotone::<64>();
+        monotone::<32>();
+    }
+
+    fn within_one_bucket<const N: usize>() {
+        for seed in 0..24u64 {
+            let mut rng = SimRng::seed_from_u64(9_000 + seed);
+            let mut samples: Vec<u64> = (0..rng.gen_range(50usize..400))
+                .map(|_| rng.gen_range(0u64..2_000_000))
+                .collect();
+            let h = hist::<N>(&samples);
+            samples.sort_unstable();
+            for q in [0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+                let target = ((samples.len() as f64) * q).ceil().max(1.0) as usize;
+                let truth = samples[target - 1];
+                let est = h.percentile_ns(q);
+                if truth == 0 {
+                    assert_eq!(est, 0, "N = {N}, seed {seed} q {q}");
+                } else {
+                    assert!(
+                        est > truth && est <= truth.saturating_mul(2),
+                        "N = {N}, seed {seed} q {q}: truth {truth}, estimate {est}"
+                    );
+                }
             }
         }
     }
 
     /// The bucketed estimate agrees with a sorted-sample reference to
-    /// within one log₂ bucket: true_value <= estimate < 2 * true_value
+    /// within one log₂ bucket: true_value < estimate <= 2 * true_value
     /// (with the zero bucket handled exactly).
     #[test]
-    fn phase_percentile_within_one_bucket_of_sorted_reference() {
-        for seed in 0..24u64 {
-            let mut rng = SimRng::seed_from_u64(9_000 + seed);
-            let samples: Vec<u64> = (0..rng.gen_range(50usize..400))
-                .map(|_| rng.gen_range(0u64..2_000_000))
+    fn percentile_within_one_bucket_of_sorted_reference() {
+        within_one_bucket::<64>();
+        within_one_bucket::<32>();
+    }
+
+    fn merge_is_union<const N: usize>() {
+        for seed in 0..48u64 {
+            let mut rng = SimRng::seed_from_u64(1000 + seed);
+            let xs: Vec<u64> = (0..rng.gen_range(0usize..50))
+                .map(|_| rng.gen_range(0u64..5_000_000_000))
                 .collect();
-            let mut h = PhaseHist::default();
-            for &v in &samples {
-                h.record(v);
-            }
-            let mut sorted = samples.clone();
-            sorted.sort_unstable();
-            for q in [0.5, 0.9, 0.95, 0.99, 0.999] {
-                let target = ((sorted.len() as f64) * q).ceil().max(1.0) as usize;
-                let truth = sorted[target - 1];
-                let est = h.percentile(q);
-                if truth == 0 {
-                    assert_eq!(est, 0, "seed {seed} q {q}");
-                } else {
-                    assert!(
-                        est >= truth && est <= truth.saturating_mul(2),
-                        "seed {seed} q {q}: truth {truth}, estimate {est}"
-                    );
-                }
-            }
+            let ys: Vec<u64> = (0..rng.gen_range(0usize..50))
+                .map(|_| rng.gen_range(0u64..5_000_000_000))
+                .collect();
+            let mut a = hist::<N>(&xs);
+            a.merge(&hist::<N>(&ys));
+            assert_eq!(a, hist::<N>(&[xs, ys].concat()), "N = {N}, seed {seed}");
         }
+    }
+
+    /// merge(a, b) equals recording the union, min and max included.
+    #[test]
+    fn merge_equals_union() {
+        merge_is_union::<64>();
+        merge_is_union::<32>();
     }
 
     #[test]
@@ -634,35 +523,20 @@ mod tests {
         b.queue_depth.record(4);
         a.merge(&b);
         assert_eq!(a.wait_unit.count, 2);
+        assert_eq!((a.wait_unit.min_ns, a.wait_unit.max_ns), (1, 3));
         assert_eq!(a.gc_exec.count, 1);
         assert_eq!(a.queue_depth.count, 1);
     }
 
-    /// merge(a, b) equals recording the union.
+    /// `Debug` keeps each alias's pinned rendering: report digests
+    /// hash it.
     #[test]
-    fn merge_equals_union() {
-        for seed in 0..48u64 {
-            let mut rng = SimRng::seed_from_u64(1000 + seed);
-            let xs: Vec<u64> = (0..rng.gen_range(0usize..50))
-                .map(|_| rng.gen_range(0u64..1_000_000))
-                .collect();
-            let ys: Vec<u64> = (0..rng.gen_range(0usize..50))
-                .map(|_| rng.gen_range(0u64..1_000_000))
-                .collect();
-            let mut a = LatencyStats::new();
-            for &v in &xs {
-                a.record(v);
-            }
-            let mut b = LatencyStats::new();
-            for &v in &ys {
-                b.record(v);
-            }
-            a.merge(&b);
-            let mut u = LatencyStats::new();
-            for &v in xs.iter().chain(ys.iter()) {
-                u.record(v);
-            }
-            assert_eq!(a, u, "seed {seed}");
-        }
+    fn debug_keeps_the_pinned_renderings() {
+        let l = format!("{:?}", hist::<64>(&[5]));
+        assert!(l.starts_with(
+            "LatencyStats { count: 1, sum_ns: 5, min_ns: 5, max_ns: 5, hist: [0, 0, 0, 1, 0"
+        ));
+        let p = format!("{:?}", hist::<32>(&[5]));
+        assert!(p.starts_with("PhaseHist { count: 1, sum_ns: 5, buckets: [0, 0, 0, 1, 0"));
     }
 }

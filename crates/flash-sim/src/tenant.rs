@@ -168,7 +168,7 @@ impl TenantLayout {
     }
 
     /// Mutable access to a tenant's state (used by mid-run re-allocation).
-    pub fn tenant_mut(&mut self, idx: usize) -> &mut TenantState {
+    pub(crate) fn tenant_mut(&mut self, idx: usize) -> &mut TenantState {
         &mut self.tenants[idx]
     }
 

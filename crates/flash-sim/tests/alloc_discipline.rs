@@ -170,7 +170,7 @@ fn warm_rerun_of_an_oversaturated_trace_performs_zero_heap_allocations() {
         .build_with_arena(&mut arena)
         .expect("valid device");
     let cold = sim.run_reclaim(&trace, &mut arena).expect("cold run");
-    let depth = cold.phases.queue_depth.mean();
+    let depth = cold.phases.queue_depth.mean_ns();
     assert!(
         depth >= 300.0,
         "fixture not oversaturated: mean unit backlog {depth:.0}"

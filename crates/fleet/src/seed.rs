@@ -1,7 +1,7 @@
 //! The fleet seed-derivation rule.
 //!
 //! Every random decision in a fleet run derives from one `fleet_seed`
-//! through [`derive`]: a splitmix64 finalizer over `(fleet_seed, domain,
+//! through [`derive()`]: a splitmix64 finalizer over `(fleet_seed, domain,
 //! index)`. The rule has two properties the determinism argument leans
 //! on (see DESIGN.md §"Fleet sharding"):
 //!
@@ -18,7 +18,7 @@ pub const DOMAIN_STREAM: u64 = 1;
 /// Domain tag for per-tenant workload-profile parameters.
 pub const DOMAIN_PROFILE: u64 = 2;
 /// Domain tag for the fleet's allocator model.
-pub const DOMAIN_MODEL: u64 = 3;
+pub(crate) const DOMAIN_MODEL: u64 = 3;
 
 /// Derives a child seed from `(fleet_seed, domain, index)` with a
 /// splitmix64 finalizer. Pure and stateless: the same triple always

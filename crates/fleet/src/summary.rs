@@ -49,7 +49,7 @@ pub struct FleetSummary {
 
 impl FleetSummary {
     /// Merges shard summaries (must be ascending by device id).
-    pub fn from_shards(shards: Vec<ShardSummary>, channels_per_device: usize) -> Self {
+    pub(crate) fn from_shards(shards: Vec<ShardSummary>, channels_per_device: usize) -> Self {
         let mut merged = MetricsSummary::default();
         for shard in &shards {
             merged.merge_offset(

@@ -17,7 +17,7 @@ pub fn init() {
 
 /// Nanoseconds elapsed since the process epoch (monotonic, never
 /// decreases; saturates at `u64::MAX` after ~584 years).
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     let e = EPOCH.get_or_init(Instant::now).elapsed();
     u64::try_from(e.as_nanos()).unwrap_or(u64::MAX)
 }

@@ -31,14 +31,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Magic key/version stamped on every telemetry line.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 /// Environment variable naming the telemetry target when no CLI flag
 /// is given (`stderr` or `-` selects stderr, anything else is a path).
 pub const TELEMETRY_ENV: &str = "SSDKEEPER_TELEMETRY";
 /// Environment variable overriding the sample interval in milliseconds.
-pub const INTERVAL_ENV: &str = "SSDKEEPER_TELEMETRY_MS";
+pub(crate) const INTERVAL_ENV: &str = "SSDKEEPER_TELEMETRY_MS";
 /// Default sample interval.
-pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(200);
+pub(crate) const DEFAULT_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Where the NDJSON stream goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +52,7 @@ pub enum Target {
 impl Target {
     /// Parses a CLI/env spec: `stderr` or `-` → [`Target::Stderr`],
     /// anything else is a file path.
-    pub fn from_spec(spec: &str) -> Target {
+    pub(crate) fn from_spec(spec: &str) -> Target {
         match spec {
             "stderr" | "-" => Target::Stderr,
             path => Target::File(PathBuf::from(path)),
@@ -131,8 +131,8 @@ impl Sampler {
 
     /// Starts a sampler resolved from a CLI spec falling back to the
     /// [`TELEMETRY_ENV`] environment variable; returns `Ok(None)` when
-    /// neither is set. Interval comes from [`INTERVAL_ENV`] or
-    /// [`DEFAULT_INTERVAL`].
+    /// neither is set. The interval comes from `SSDKEEPER_TELEMETRY_MS`
+    /// (milliseconds), 200 ms by default.
     pub fn from_spec_or_env(cli_spec: Option<&str>) -> io::Result<Option<Sampler>> {
         let env_spec = std::env::var(TELEMETRY_ENV).ok();
         let spec = match cli_spec.or(env_spec.as_deref()) {

@@ -22,10 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunk;
 pub mod pool;
 
-pub use chunk::{chunk_ranges, Chunk};
 pub use pool::{par_map, par_map_init, par_map_with, PoolConfig};
 
 #[cfg(test)]
@@ -36,7 +34,5 @@ mod tests {
     fn reexports_are_usable() {
         let out = par_map(&PoolConfig::default(), &[1, 2, 3], |&x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
-        let ranges = chunk_ranges(10, 3);
-        assert_eq!(ranges.len(), 3);
     }
 }

@@ -2,18 +2,10 @@
 //! ANN initialization.
 //!
 //! Everything here is a thin, deterministic transform over [`RngCore`]
-//! draws — inverse-CDF where a closed form exists, Box–Muller for the
-//! normal — so the sampled streams are a pure function of the seed.
+//! draws — inverse-CDF where a closed form exists — so the sampled
+//! streams are a pure function of the seed.
 
 use crate::{Rng, RngCore};
-
-/// Bernoulli draw: `true` with probability `p` (alias of
-/// [`Rng::gen_bool`], kept for call sites that read better as a
-/// distribution).
-#[inline]
-pub fn bernoulli<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> bool {
-    rng.gen_bool(p)
-}
 
 /// Exponential sample with the given mean, via inverse CDF.
 ///
@@ -23,14 +15,6 @@ pub fn exponential<R: RngCore + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     debug_assert!(mean > 0.0, "exponential mean must be positive");
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -mean * u.ln()
-}
-
-/// Poisson-process inter-arrival gap for a process with the given rate
-/// (events per unit time): an exponential with mean `1 / rate`.
-#[inline]
-pub fn poisson_interarrival<R: RngCore + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    debug_assert!(rate > 0.0, "poisson rate must be positive");
-    exponential(rng, 1.0 / rate)
 }
 
 /// Bounded-Zipf sample over `[0, n)` via the continuous inverse-CDF
@@ -52,38 +36,9 @@ pub fn zipf<R: RngCore + ?Sized>(rng: &mut R, n: u64, theta: f64) -> u64 {
     (x as u64 - 1).min(n - 1)
 }
 
-/// Hot/cold draw over `[0, n)`: with probability `hot_prob` the sample
-/// falls uniformly in the hot head `[0, ceil(n·hot_frac))`, otherwise
-/// uniformly in the cold tail.
-pub fn hot_cold<R: RngCore + ?Sized>(rng: &mut R, n: u64, hot_frac: f64, hot_prob: f64) -> u64 {
-    debug_assert!(n > 0);
-    debug_assert!((0.0..=1.0).contains(&hot_frac));
-    let hot = ((n as f64 * hot_frac).ceil() as u64).clamp(1, n);
-    if hot == n || rng.gen_bool(hot_prob) {
-        rng.gen_range(0..hot)
-    } else {
-        rng.gen_range(hot..n)
-    }
-}
-
-/// Standard-normal sample via Box–Muller (two uniforms per pair; the
-/// second value is discarded to keep the function stateless).
-pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Normal sample with the given mean and standard deviation.
-#[inline]
-pub fn normal<R: RngCore + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    debug_assert!(std_dev >= 0.0);
-    standard_normal(rng).mul_add(std_dev, mean)
-}
-
 /// The Xavier/Glorot uniform bound `sqrt(6 / (fan_in + fan_out))`.
 #[inline]
-pub fn xavier_limit(fan_in: usize, fan_out: usize) -> f32 {
+pub(crate) fn xavier_limit(fan_in: usize, fan_out: usize) -> f32 {
     debug_assert!(fan_in + fan_out > 0);
     (6.0 / (fan_in + fan_out) as f32).sqrt()
 }
@@ -115,17 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_interarrival_matches_rate() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let n = 50_000;
-        let total: f64 = (0..n)
-            .map(|_| poisson_interarrival(&mut rng, 10_000.0))
-            .sum();
-        let rate = n as f64 / total;
-        assert!((rate - 10_000.0).abs() / 10_000.0 < 0.03, "rate {rate}");
-    }
-
-    #[test]
     fn zipf_stays_in_range_and_is_head_heavy() {
         let mut rng = SimRng::seed_from_u64(4);
         let n = 10_000u64;
@@ -154,46 +98,6 @@ mod tests {
         };
         assert!(head_frac(0.9) > head_frac(0.5));
         assert!(head_frac(0.5) > head_frac(0.1));
-    }
-
-    #[test]
-    fn hot_cold_concentrates_on_head() {
-        let mut rng = SimRng::seed_from_u64(6);
-        let n = 1_000u64;
-        let hits = (0..20_000)
-            .filter(|_| hot_cold(&mut rng, n, 0.1, 0.9) < 100)
-            .count();
-        let frac = hits as f64 / 20_000.0;
-        assert!((frac - 0.9).abs() < 0.02, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn hot_cold_degenerate_head_still_in_range() {
-        let mut rng = SimRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            assert!(hot_cold(&mut rng, 1, 1.0, 0.5) == 0);
-            assert!(hot_cold(&mut rng, 10, 1.0, 0.5) < 10);
-        }
-    }
-
-    #[test]
-    fn normal_moments_are_close() {
-        let mut rng = SimRng::seed_from_u64(8);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| normal(&mut rng, 3.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn bernoulli_alias_matches_gen_bool() {
-        let mut a = SimRng::seed_from_u64(9);
-        let mut b = SimRng::seed_from_u64(9);
-        for _ in 0..1000 {
-            assert_eq!(bernoulli(&mut a, 0.4), crate::Rng::gen_bool(&mut b, 0.4));
-        }
     }
 
     #[test]

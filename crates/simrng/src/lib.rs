@@ -18,8 +18,8 @@
 //! The API mirrors the subset of the `rand` crate the codebase used
 //! (`Rng::gen_range`/`gen`/`gen_bool`, slice shuffling) so call sites port
 //! mechanically, plus the distribution helpers the simulator needs
-//! ([`dist`]: Bernoulli, exponential / Poisson inter-arrival, bounded
-//! Zipf, hot/cold draws, normal and Xavier init).
+//! ([`dist`]: exponential inter-arrival gaps, bounded Zipf and Xavier
+//! init).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -124,7 +124,7 @@ impl RngCore for SimRng {
 /// Unbiased uniform draw from `[0, span)` via Lemire's multiply-shift
 /// rejection method. `span` must be non-zero.
 #[inline]
-pub fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
+pub(crate) fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0, "uniform_u64 span must be non-zero");
     let mut m = u128::from(rng.next_u64()) * u128::from(span);
     let mut lo = m as u64;

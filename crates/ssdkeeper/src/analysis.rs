@@ -33,7 +33,7 @@ pub struct RegretSummary {
 
 /// Per-sample regrets of the allocator's predictions; `None` when the
 /// dataset carries no metrics.
-pub fn prediction_regrets(
+pub(crate) fn prediction_regrets(
     allocator: &ChannelAllocator,
     dataset: &LabelledDataset,
 ) -> Option<Vec<f64>> {

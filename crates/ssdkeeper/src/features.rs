@@ -9,7 +9,7 @@ use workloads::{IntensityScale, ObservedFeatures};
 /// Number of tenants the paper's model is built for.
 pub const TENANTS: usize = 4;
 /// Width of the model input.
-pub const FEATURE_DIM: usize = 1 + 2 * TENANTS;
+pub(crate) const FEATURE_DIM: usize = 1 + 2 * TENANTS;
 
 /// The features collector's output for one observation window.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +80,7 @@ impl FeatureVector {
 /// label generation, where the whole trace is visible and rate is the
 /// honest intensity measure; the online collector uses
 /// [`workloads::IntensityScale`] over a fixed window instead.
-pub fn rate_intensity_level(requests: u64, span_ns: u64, max_iops: f64) -> u32 {
+pub(crate) fn rate_intensity_level(requests: u64, span_ns: u64, max_iops: f64) -> u32 {
     assert!(max_iops > 0.0, "max_iops must be positive");
     if requests == 0 || span_ns == 0 {
         return 0;

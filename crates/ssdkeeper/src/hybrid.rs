@@ -11,7 +11,7 @@ use flash_sim::PageAllocPolicy;
 /// Chooses the page-allocation policy for one tenant from its read/write
 /// characteristic (1 = read-dominated → static; 0 = write-dominated →
 /// dynamic).
-pub fn policy_for_characteristic(rw_char: u8) -> PageAllocPolicy {
+pub(crate) fn policy_for_characteristic(rw_char: u8) -> PageAllocPolicy {
     if rw_char == 0 {
         PageAllocPolicy::Dynamic
     } else {

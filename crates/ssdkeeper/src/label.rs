@@ -20,7 +20,7 @@ use workloads::ObservedFeatures;
 /// [`simrng::derive_seed`] triple rule with `fleet::seed`, whose domains
 /// 1–3 are stream/profile/model — domain separation means the farm can
 /// never collide with fleet-derived seeds.
-pub const DOMAIN_LABEL_SAMPLE: u64 = 4;
+pub(crate) const DOMAIN_LABEL_SAMPLE: u64 = 4;
 
 /// Configuration shared by every labelling run.
 #[derive(Debug, Clone)]

@@ -84,7 +84,7 @@ pub struct LabelledDataset {
 
 impl LabelledDataset {
     /// Converts to an [`ann`] dataset (42 classes).
-    pub fn to_ann_dataset(&self) -> Dataset {
+    pub(crate) fn to_ann_dataset(&self) -> Dataset {
         let rows: Vec<[f32; FEATURE_DIM]> =
             self.samples.iter().map(|s| s.features.to_input()).collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
@@ -321,7 +321,7 @@ pub fn effective_accuracy_subset(
 }
 
 /// Deterministic 7:3 train/test split of `n` sample indices.
-pub fn split_indices(n: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn split_indices(n: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
     use simrng::SliceRandom;
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = simrng::SimRng::seed_from_u64(seed);
@@ -509,7 +509,7 @@ impl Learner {
     }
 
     /// Training with explicit epoch count and seed. The 7:3 train/test
-    /// split is sample-deterministic (see [`split_indices`]), and the
+    /// split is sample-deterministic (see `split_indices`), and the
     /// held-out indices are returned on the model for honest post-hoc
     /// evaluation.
     pub fn train_with(

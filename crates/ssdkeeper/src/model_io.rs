@@ -20,7 +20,7 @@ use std::path::Path;
 const HEADER: &str = "ssdkeeper-model-v1";
 
 /// Serializes a trained model (network + calibration) to text.
-pub fn format_model(model: &TrainedModel) -> String {
+pub(crate) fn format_model(model: &TrainedModel) -> String {
     format!(
         "{HEADER}\nmax_total_iops {}\n{}",
         model.max_total_iops,
@@ -29,7 +29,7 @@ pub fn format_model(model: &TrainedModel) -> String {
 }
 
 /// Parses the text form back into a model (history is not persisted).
-pub fn parse_model(text: &str) -> Result<TrainedModel, ModelIoError> {
+pub(crate) fn parse_model(text: &str) -> Result<TrainedModel, ModelIoError> {
     let parse_err = |line: usize, message: &str| ModelIoError::Parse {
         line,
         message: message.to_string(),
@@ -67,7 +67,7 @@ pub fn save_model(model: &TrainedModel, path: impl AsRef<Path>) -> Result<(), Mo
 }
 
 /// Reads a model file.
-pub fn load_model(path: impl AsRef<Path>) -> Result<TrainedModel, ModelIoError> {
+pub(crate) fn load_model(path: impl AsRef<Path>) -> Result<TrainedModel, ModelIoError> {
     let text = std::fs::read_to_string(path).map_err(ModelIoError::Io)?;
     parse_model(&text)
 }

@@ -34,7 +34,7 @@ impl Json {
     }
 
     /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
+    pub(crate) fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -78,7 +78,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 /// Flattens every numeric leaf into `(dotted.path, value)` pairs, arrays
 /// indexed numerically (`tenants.0.read.p99_ns`). Order is document
 /// order, so output built from the same schema diffs stably.
-pub fn flatten_numbers(v: &Json) -> Vec<(String, f64)> {
+pub(crate) fn flatten_numbers(v: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk(v, String::new(), &mut out);
     out

@@ -11,7 +11,7 @@
 //!   latency percentiles, per-channel utilization, GC amplification;
 //! * [`timeline_csv`] — time-bucketed throughput / queue depth / GC
 //!   activity for plotting;
-//! * [`diff_docs`] — compare the numeric leaves of two reports (either
+//! * [`diff_texts`] — compare the numeric leaves of two reports (either
 //!   two `summarize --json` outputs or two `BENCH_sim.json`), flagging
 //!   regressions past a threshold so CI can hold the line;
 //! * [`live`] — validate/summarize the NDJSON telemetry streamed by the
@@ -369,7 +369,7 @@ impl Diff {
 /// upward; any throughput rate (`*_per_sec` — events, decisions,
 /// labels) regresses downward. Everything else — counts, raw busy
 /// times, config echoes — is ignored.
-pub fn metric_direction(key: &str) -> Option<Direction> {
+pub(crate) fn metric_direction(key: &str) -> Option<Direction> {
     if key.ends_with("_per_sec") {
         return Some(Direction::HigherBetter);
     }
@@ -387,7 +387,7 @@ pub fn metric_direction(key: &str) -> Option<Direction> {
 /// regresses when it moves past `threshold` (relative) in its bad
 /// direction; a metric whose old value is 0 is compared absolutely
 /// (any increase of a latency metric from 0 regresses).
-pub fn diff_docs(old: &Json, new: &Json, threshold: f64) -> Diff {
+pub(crate) fn diff_docs(old: &Json, new: &Json, threshold: f64) -> Diff {
     let old_flat = flatten_numbers(old);
     let new_flat: Vec<(String, f64)> = flatten_numbers(new);
     let mut diff = Diff::default();

@@ -5,7 +5,7 @@ use simrng::Rng;
 
 /// Stateful LPN generator for one tenant.
 #[derive(Debug, Clone)]
-pub struct AddressGen {
+pub(crate) struct AddressGen {
     pattern: AddressPattern,
     lpn_space: u64,
     /// Sequential-run cursor.
@@ -31,7 +31,7 @@ impl AddressGen {
 
     /// Draws the starting LPN of the next request. `size` pages will be
     /// accessed from it; sequential runs advance by `size`.
-    pub fn next_lpn(&mut self, size: u32, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn next_lpn(&mut self, size: u32, rng: &mut impl Rng) -> u64 {
         match self.pattern {
             AddressPattern::Uniform => rng.gen_range(0..self.lpn_space),
             AddressPattern::Zipf { theta } => zipf_approx(self.lpn_space, theta, rng),
@@ -56,7 +56,7 @@ impl AddressGen {
 /// The approximation slightly underweights the very first ranks relative
 /// to exact Zipf but preserves the power-law head/tail shape that matters
 /// for GC and cache behaviour.
-pub fn zipf_approx(n: u64, theta: f64, rng: &mut impl Rng) -> u64 {
+pub(crate) fn zipf_approx(n: u64, theta: f64, rng: &mut impl Rng) -> u64 {
     simrng::dist::zipf(rng, n, theta)
 }
 

@@ -5,7 +5,7 @@ use simrng::Rng;
 
 /// Stateful generator of monotonically increasing arrival timestamps.
 #[derive(Debug, Clone)]
-pub struct ArrivalGen {
+pub(crate) struct ArrivalGen {
     process: ArrivalProcess,
     mean_gap_ns: f64,
     clock_ns: f64,

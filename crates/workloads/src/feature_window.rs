@@ -16,7 +16,7 @@
 use flash_sim::{IoRequest, Op};
 
 /// Number of intensity levels the paper quantizes into.
-pub const INTENSITY_LEVELS: u32 = 20;
+pub(crate) const INTENSITY_LEVELS: u32 = 20;
 
 /// Calibration of the intensity quantizer: the request count (per window)
 /// that maps to the top level.
@@ -88,7 +88,7 @@ impl ObservedFeatures {
     }
 
     /// Per-tenant request totals.
-    pub fn per_tenant_total(&self, t: usize) -> u64 {
+    pub(crate) fn per_tenant_total(&self, t: usize) -> u64 {
         self.reads[t] + self.writes[t]
     }
 
@@ -111,7 +111,8 @@ impl ObservedFeatures {
     }
 
     /// Total write fraction across tenants (the y-axis of Figure 6).
-    pub fn total_write_proportion(&self) -> f64 {
+    #[cfg(test)]
+    fn total_write_proportion(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 0.0;

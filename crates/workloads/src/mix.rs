@@ -42,7 +42,8 @@ pub fn mix_chronological(streams: &[Vec<IoRequest>], take: usize) -> Vec<IoReque
 
 /// Per-tenant request shares of a mixed trace (sums to 1 for non-empty
 /// traces). The vector is indexed by tenant id.
-pub fn tenant_shares(mixed: &[IoRequest], tenants: usize) -> Vec<f64> {
+#[cfg(test)]
+fn tenant_shares(mixed: &[IoRequest], tenants: usize) -> Vec<f64> {
     let mut counts = vec![0usize; tenants];
     for r in mixed {
         if (r.tenant as usize) < tenants {

@@ -142,7 +142,7 @@ impl MsrTrace {
 }
 
 /// The paper's four evaluation mixes (Table IV), in tenant order.
-pub fn paper_mixes() -> [(&'static str, [MsrTrace; 4]); 4] {
+pub(crate) fn paper_mixes() -> [(&'static str, [MsrTrace; 4]); 4] {
     [
         (
             "Mix1",

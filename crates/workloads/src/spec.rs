@@ -94,7 +94,8 @@ impl TenantSpec {
 
     /// The paper's binary read/write characteristic: `true` when the
     /// tenant is read-dominated (feature value 1).
-    pub fn is_read_dominated(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_read_dominated(&self) -> bool {
         self.write_ratio < 0.5
     }
 

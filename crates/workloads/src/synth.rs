@@ -51,9 +51,10 @@ pub fn generate_tenant_stream(
 }
 
 /// Measured aggregate characteristics of a request stream, for validating
-/// that generated traces match their specs (and for printing Table II).
+/// that generated traces match their specs.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamStats {
+pub(crate) struct StreamStats {
     /// Total requests.
     pub count: usize,
     /// Fraction of write requests.
@@ -65,7 +66,8 @@ pub struct StreamStats {
 }
 
 /// Computes [`StreamStats`] for a stream.
-pub fn stream_stats(stream: &[IoRequest]) -> StreamStats {
+#[cfg(test)]
+pub(crate) fn stream_stats(stream: &[IoRequest]) -> StreamStats {
     if stream.is_empty() {
         return StreamStats {
             count: 0,

@@ -22,6 +22,13 @@ else
     echo "==> cargo clippy not installed; skipping lint gate"
 fi
 
+# Rustdoc gate: every library's docs build warning-free, so a doc link to
+# an item narrowed to pub(crate) (or deleted) fails here. --lib keeps the
+# `fleet` library and `exp`'s `fleet` binary from colliding on one output
+# file.
+echo "==> cargo doc --no-deps --workspace --lib (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline
+
 # Allocation-discipline gate: a counting global allocator asserts the
 # steady-state event loop allocates nothing after warmup, that a full
 # rebuild+rerun out of a recycled SimArena performs zero heap

@@ -1,7 +1,6 @@
 //! Reproducibility across the whole stack: identical seeds must produce
 //! bit-identical traces, labels, models, and simulation reports.
 
-use ssdkeeper_repro::flash_sim::trace::{decode_trace, encode_trace};
 use ssdkeeper_repro::flash_sim::{
     IoRequest, Op, PageAllocPolicy, Reallocation, SimArena, SimBuilder, SimReport, SsdConfig,
     TenantLayout,
@@ -246,24 +245,4 @@ fn fig2_sweep_is_identical_across_worker_counts() {
             assert_eq!(se.metric_us.to_bits(), pe.metric_us.to_bits());
         }
     }
-}
-
-#[test]
-fn persisted_traces_replay_identically() {
-    let cfg = SsdConfig {
-        blocks_per_plane: 64,
-        pages_per_block: 32,
-        ..SsdConfig::paper_table1()
-    };
-    let t = TenantSpec::synthetic("t", 0.3, 15_000.0, 1 << 10);
-    let trace = generate_tenant_stream(&t, 0, 2_000, 3);
-
-    let decoded = decode_trace(&encode_trace(&trace)).unwrap();
-    assert_eq!(decoded, trace);
-
-    let run = |tr: &[ssdkeeper_repro::flash_sim::IoRequest]| {
-        let layout = TenantLayout::shared(1, &cfg).with_lpn_space_all(1 << 10);
-        simulate(&cfg, layout, tr)
-    };
-    assert_eq!(run(&trace), run(&decoded));
 }

@@ -148,16 +148,16 @@ fn phase_means_are_bounded_by_the_makespan_per_command() {
         ("gc_exec", &phases.gc_exec),
     ] {
         assert!(
-            h.mean() <= makespan as f64,
+            h.mean_ns() <= makespan as f64,
             "{name}: mean {} exceeds makespan {makespan}",
-            h.mean()
+            h.mean_ns()
         );
         // The percentile estimator returns the upper bucket edge, which
         // errs high by at most 2x over the largest true sample.
         assert!(
-            h.percentile(1.0) <= makespan.saturating_mul(2),
+            h.percentile_ns(1.0) <= makespan.saturating_mul(2),
             "{name}: p100 {} exceeds 2x makespan {makespan}",
-            h.percentile(1.0)
+            h.percentile_ns(1.0)
         );
     }
     // Host queueing in this fixture is bounded (qd 8), so commands are
