@@ -287,7 +287,12 @@ pub fn render_summary(results: &[MixResult]) -> String {
             gains.push(r.improvement_vs_shared());
         }
     }
-    if !gains.is_empty() {
+    if gains.is_empty() {
+        out.push_str(
+            "  mean improvement on re-allocated mixes: none re-allocated (counts as +0.0%) \
+             (paper: ~24% over Mix2-4)\n",
+        );
+    } else {
         let mean = gains.iter().sum::<f64>() / gains.len() as f64 * 100.0;
         out.push_str(&format!(
             "  mean improvement on re-allocated mixes: {mean:.1}% (paper: ~24% over Mix2-4)\n"
@@ -366,6 +371,18 @@ mod tests {
         assert!(f.contains("Figure 5(c)"));
         let s = render_summary(&results);
         assert!(s.contains("mean hybrid"));
+        // A run that keeps Shared everywhere still prints the mean line.
+        let kept: Vec<MixResult> = results
+            .iter()
+            .cloned()
+            .map(|r| MixResult {
+                chosen: Strategy::Shared,
+                ..r
+            })
+            .collect();
+        assert!(render_summary(&kept).contains(
+            "mean improvement on re-allocated mixes: none re-allocated (counts as +0.0%)"
+        ));
         let p = render_percentiles(&results);
         assert!(p.contains("p50/p95/p99"));
         // One row per (mix, tenant) plus the header lines.

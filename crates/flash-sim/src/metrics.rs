@@ -20,7 +20,7 @@
 
 use crate::probe::{BusAcquire, BusRelease, CmdComplete, CmdIssue, GcCollect, Probe};
 use crate::scheduler::CmdClass;
-use crate::stats::LatencyStats;
+use crate::stats::{Fnv1a, LatencyStats};
 
 /// Latency and GC-attribution accumulators for one tenant.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -257,6 +257,83 @@ impl MetricsSummary {
             self.timeline.clear();
             self.window_ns = 0;
         }
+    }
+
+    /// FNV-1a over every value of the summary, in declaration order:
+    /// tenant count, then per tenant its read and write histograms, GC
+    /// commands and GC time; channel count, then per channel busy time,
+    /// acquires, bus wait and issues; the four GC counters; window count,
+    /// then per window its six fields; window width, first and last
+    /// event, and events observed. Integers, lengths and histograms are
+    /// fed as by [`crate::SimReport::digest`]. `FleetSummary::digest`
+    /// builds on this value.
+    pub fn digest(&self) -> u64 {
+        let Self {
+            tenants,
+            channels,
+            gc,
+            timeline,
+            window_ns,
+            first_event_ns,
+            last_event_ns,
+            events_observed,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.u64(tenants.len() as u64);
+        for TenantMetrics {
+            read,
+            write,
+            gc_cmds,
+            gc_ns,
+        } in tenants
+        {
+            read.feed(&mut h);
+            write.feed(&mut h);
+            h.u64s([*gc_cmds, *gc_ns]);
+        }
+        h.u64(channels.len() as u64);
+        for &ChannelMetrics {
+            busy_ns,
+            acquires,
+            bus_wait_ns,
+            issues,
+        } in channels
+        {
+            h.u64s([busy_ns, acquires, bus_wait_ns, issues]);
+        }
+        let GcMetrics {
+            passes,
+            moved_pages,
+            erased_blocks,
+            busy_ns,
+        } = *gc;
+        h.u64s([passes, moved_pages, erased_blocks, busy_ns]);
+        h.u64(timeline.len() as u64);
+        for &WindowSample {
+            start_ns,
+            completes,
+            gc_completes,
+            gc_passes,
+            queue_depth_sum,
+            queue_depth_samples,
+        } in timeline
+        {
+            h.u64s([
+                start_ns,
+                completes,
+                gc_completes,
+                gc_passes,
+                queue_depth_sum,
+                queue_depth_samples,
+            ]);
+        }
+        h.u64s([
+            *window_ns,
+            *first_event_ns,
+            *last_event_ns,
+            *events_observed,
+        ]);
+        h.finish()
     }
 }
 
@@ -512,6 +589,108 @@ mod tests {
         let util = s.channel_utilization();
         assert!((util[2] - 50.0 / 200.0).abs() < 1e-12);
         assert!((util[0] - 70.0 / 200.0).abs() < 1e-12);
+    }
+
+    /// Every value of a summary reaches its digest: bumping any counter
+    /// by one, any histogram field or one bucket, or one `Vec` element,
+    /// or growing a `Vec`, gives a digest unlike the base and every other
+    /// perturbation.
+    #[test]
+    fn digest_moves_with_every_value() {
+        let mut lat = LatencyStats::new();
+        lat.record(7);
+        let base = MetricsSummary {
+            tenants: vec![
+                TenantMetrics {
+                    read: lat.clone(),
+                    write: lat.clone(),
+                    gc_cmds: 1,
+                    gc_ns: 2,
+                };
+                2
+            ],
+            channels: vec![
+                ChannelMetrics {
+                    busy_ns: 3,
+                    acquires: 4,
+                    bus_wait_ns: 5,
+                    issues: 6,
+                };
+                2
+            ],
+            gc: GcMetrics {
+                passes: 7,
+                moved_pages: 8,
+                erased_blocks: 9,
+                busy_ns: 10,
+            },
+            timeline: (0..2)
+                .map(|i| WindowSample {
+                    start_ns: 100 * i,
+                    completes: 11,
+                    gc_completes: 12,
+                    gc_passes: 13,
+                    queue_depth_sum: 14,
+                    queue_depth_samples: 15,
+                })
+                .collect(),
+            window_ns: 100,
+            first_event_ns: 16,
+            last_event_ns: 170,
+            events_observed: 18,
+        };
+        assert_eq!(base.digest(), base.clone().digest());
+        let mut seen = vec![base.digest()];
+        let mut check = |what: &str, edit: &dyn Fn(&mut MetricsSummary)| {
+            let mut s = base.clone();
+            edit(&mut s);
+            let d = s.digest();
+            assert!(!seen.contains(&d), "{what}: digest did not move");
+            seen.push(d);
+        };
+        for (i, bump) in crate::stats::hist_bumps::<64>().into_iter().enumerate() {
+            check(&format!("tenants[1].read #{i}"), &|s| {
+                bump(&mut s.tenants[1].read)
+            });
+            check(&format!("tenants[1].write #{i}"), &|s| {
+                bump(&mut s.tenants[1].write)
+            });
+        }
+        check("tenants[1].gc_cmds", &|s| s.tenants[1].gc_cmds += 1);
+        check("tenants[1].gc_ns", &|s| s.tenants[1].gc_ns += 1);
+        check("tenants len", &|s| s.tenants.push(TenantMetrics::default()));
+        check("channels[1].busy_ns", &|s| s.channels[1].busy_ns += 1);
+        check("channels[1].acquires", &|s| s.channels[1].acquires += 1);
+        check("channels[1].bus_wait_ns", &|s| {
+            s.channels[1].bus_wait_ns += 1
+        });
+        check("channels[1].issues", &|s| s.channels[1].issues += 1);
+        check("channels len", &|s| {
+            s.channels.push(ChannelMetrics::default())
+        });
+        check("gc.passes", &|s| s.gc.passes += 1);
+        check("gc.moved_pages", &|s| s.gc.moved_pages += 1);
+        check("gc.erased_blocks", &|s| s.gc.erased_blocks += 1);
+        check("gc.busy_ns", &|s| s.gc.busy_ns += 1);
+        check("timeline[1].start_ns", &|s| s.timeline[1].start_ns += 1);
+        check("timeline[1].completes", &|s| s.timeline[1].completes += 1);
+        check("timeline[1].gc_completes", &|s| {
+            s.timeline[1].gc_completes += 1
+        });
+        check("timeline[1].gc_passes", &|s| s.timeline[1].gc_passes += 1);
+        check("timeline[1].queue_depth_sum", &|s| {
+            s.timeline[1].queue_depth_sum += 1
+        });
+        check("timeline[1].queue_depth_samples", &|s| {
+            s.timeline[1].queue_depth_samples += 1
+        });
+        check("timeline len", &|s| {
+            s.timeline.push(WindowSample::default())
+        });
+        check("window_ns", &|s| s.window_ns += 1);
+        check("first_event_ns", &|s| s.first_event_ns += 1);
+        check("last_event_ns", &|s| s.last_event_ns += 1);
+        check("events_observed", &|s| s.events_observed += 1);
     }
 
     #[test]

@@ -461,7 +461,7 @@ impl Probe for EventRecorder {
 // consumer ship in the same workspace.
 //
 // Payloads (field order = struct order above; CmdClass as u8 0=read
-// 1=write; bool as u8):
+// 1=write; bool as u8 0/1):
 //   kind 0 CmdIssue    at u64, cmd u32, tenant u16, class u8, gc u8,
 //                      unit u32, channel u16, queue_depth u32 (26 bytes)
 //   kind 1 CmdComplete at u64, cmd u32, tenant u16, class u8, gc u8,
@@ -473,6 +473,10 @@ impl Probe for EventRecorder {
 //   kind 5 Realloc     at u64, tenant u16, policy u8, pad u8 (= 0),
 //                      mask u64                              (20 bytes)
 //   kind 6 Decision    at u64, strategy u16, 9 × f32, 42 × f32 (214)
+//
+// The decoder accepts the encoder's output and nothing else: a bool or
+// pad byte outside its values, or bytes after the last event, is an
+// error, so every stream that decodes re-encodes to the same bytes.
 // ---------------------------------------------------------------------------
 
 const MAGIC: u32 = 0x5353_4450;
@@ -495,13 +499,15 @@ pub enum ProbeCodecError {
     },
     /// An event kind byte outside the defined range.
     BadKind(u8),
-    /// A class or policy byte outside its enum range.
+    /// A class, policy, bool or pad byte outside its range.
     BadField {
         /// Name of the offending field.
         field: &'static str,
         /// The byte it carried.
         value: u8,
     },
+    /// Bytes left over after the header's event count was decoded.
+    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for ProbeCodecError {
@@ -518,6 +524,9 @@ impl std::fmt::Display for ProbeCodecError {
             ProbeCodecError::BadKind(k) => write!(f, "invalid event kind {k}"),
             ProbeCodecError::BadField { field, value } => {
                 write!(f, "invalid {field} byte {value}")
+            }
+            ProbeCodecError::TrailingBytes(n) => {
+                write!(f, "{n} trailing bytes after the last event")
             }
         }
     }
@@ -543,7 +552,15 @@ fn class_of(b: u8) -> Result<CmdClass, ProbeCodecError> {
     }
 }
 
-/// Serializes a recording (retained events + drop counter) as SSDP v1.
+fn flag_of(b: u8) -> Result<bool, ProbeCodecError> {
+    match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        value => Err(ProbeCodecError::BadField { field: "gc", value }),
+    }
+}
+
+/// Serializes a recording (retained events + drop counter) as SSDP v2.
 pub fn encode_events<'a, I>(events: I, dropped: u64) -> Vec<u8>
 where
     I: IntoIterator<Item = &'a ProbeEvent>,
@@ -732,7 +749,7 @@ pub fn decode_events(buf: &[u8]) -> Result<(Vec<ProbeEvent>, u64), ProbeCodecErr
                 cmd: r.u32(),
                 tenant: r.u16(),
                 class: class_of(r.u8())?,
-                gc: r.u8() != 0,
+                gc: flag_of(r.u8())?,
                 unit: r.u32(),
                 channel: r.u16(),
                 queue_depth: r.u32(),
@@ -742,7 +759,7 @@ pub fn decode_events(buf: &[u8]) -> Result<(Vec<ProbeEvent>, u64), ProbeCodecErr
                 cmd: r.u32(),
                 tenant: r.u16(),
                 class: class_of(r.u8())?,
-                gc: r.u8() != 0,
+                gc: flag_of(r.u8())?,
                 unit: r.u32(),
                 channel: r.u16(),
                 latency_ns: r.u64(),
@@ -777,7 +794,13 @@ pub fn decode_events(buf: &[u8]) -> Result<(Vec<ProbeEvent>, u64), ProbeCodecErr
                         value: policy,
                     });
                 }
-                let _pad = r.u8();
+                let pad = r.u8();
+                if pad != 0 {
+                    return Err(ProbeCodecError::BadField {
+                        field: "pad",
+                        value: pad,
+                    });
+                }
                 ProbeEvent::Realloc(ReallocApply {
                     at_ns,
                     tenant,
@@ -805,6 +828,9 @@ pub fn decode_events(buf: &[u8]) -> Result<(Vec<ProbeEvent>, u64), ProbeCodecErr
             }
             k => return Err(ProbeCodecError::BadKind(k)),
         });
+    }
+    if r.remaining() > 0 {
+        return Err(ProbeCodecError::TrailingBytes(r.remaining()));
     }
     Ok((out, dropped))
 }
@@ -960,15 +986,12 @@ mod tests {
         assert_eq!(decoded, rec.to_vec(), "body must be the retained events");
 
         // Replay parity: live ring vs decoded capture feed a MetricsProbe
-        // to identical summaries (Debug rendering covers every field).
+        // to identical summaries.
         let mut live = crate::metrics::MetricsProbe::new(1_000_000);
         replay(rec.events(), &mut live);
         let mut offline = crate::metrics::MetricsProbe::new(1_000_000);
         replay(&decoded, &mut offline);
-        assert_eq!(
-            format!("{:?}", live.summary()),
-            format!("{:?}", offline.summary())
-        );
+        assert_eq!(live.summary(), offline.summary());
     }
 
     #[test]
@@ -1141,8 +1164,10 @@ mod tests {
         );
     }
 
+    /// Bytes the encoder never writes are rejected, so a stream that
+    /// decodes always re-encodes to itself.
     #[test]
-    fn rejects_bad_kind_and_class() {
+    fn rejects_bytes_the_encoder_never_writes() {
         let evs = sample_events();
         let mut bytes = encode_events(&evs[..1], 0);
         bytes[HEADER_BYTES] = 99; // kind byte of record 0
@@ -1160,6 +1185,59 @@ mod tests {
                 value: 7
             }
         );
+        let mut bytes = encode_events(&evs[..1], 0);
+        // CmdIssue gc byte: one past the class byte.
+        bytes[HEADER_BYTES + 16] = 2;
+        assert_eq!(
+            decode_events(&bytes).unwrap_err(),
+            ProbeCodecError::BadField {
+                field: "gc",
+                value: 2
+            }
+        );
+        let mut bytes = encode_events(&evs[5..6], 0);
+        // Realloc pad byte: kind(1) + at(8) + tenant(2) + policy(1) = 12.
+        bytes[HEADER_BYTES + 12] = 1;
+        assert_eq!(
+            decode_events(&bytes).unwrap_err(),
+            ProbeCodecError::BadField {
+                field: "pad",
+                value: 1
+            }
+        );
+        let mut bytes = encode_events(&evs, 0);
+        bytes.push(0);
+        assert_eq!(
+            decode_events(&bytes).unwrap_err(),
+            ProbeCodecError::TrailingBytes(1)
+        );
+    }
+
+    /// Seeded mutation fuzzing (bit flips, truncations, splices of
+    /// encoder output): decoding never panics, and every mutant that
+    /// decodes re-encodes to exactly its own bytes.
+    #[test]
+    fn mutated_streams_never_panic_and_decode_only_canonical_bytes() {
+        let evs = sample_events();
+        let corpus = [
+            encode_events(&evs, 1),
+            encode_events(&evs[3..], 17),
+            encode_events([], 0),
+        ];
+        let corpus: Vec<&[u8]> = corpus.iter().map(Vec::as_slice).collect();
+        let mut rng = simrng::SimRng::seed_from_u64(0x55_44_50);
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..20_000 {
+            let bytes = simrng::mutate(&mut rng, &corpus);
+            match decode_events(&bytes) {
+                Ok((events, dropped)) => {
+                    assert_eq!(encode_events(&events, dropped), bytes);
+                    ok += 1;
+                }
+                Err(_) => err += 1,
+            }
+        }
+        assert!(ok > 1_000 && err > 1_000, "{ok} decoded, {err} rejected");
     }
 
     /// Every truncation point yields a clean error, never a panic.
@@ -1193,5 +1271,8 @@ mod tests {
         }
         .to_string()
         .contains("class"));
+        assert!(ProbeCodecError::TrailingBytes(3)
+            .to_string()
+            .contains("trailing"));
     }
 }

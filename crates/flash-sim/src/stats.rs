@@ -6,15 +6,68 @@
 //! tail percentiles for the extended analyses. [`LatencyStats`] (64
 //! buckets) holds request latencies; [`PhaseHist`] (32 buckets, the
 //! always-on per-phase histograms) clamps samples at 2³¹ ns.
+//!
+//! [`SimReport::digest`] and [`crate::MetricsSummary::digest`] reduce a
+//! report to one 64-bit [`Fnv1a`] value over its numbers alone, so the
+//! determinism pins move when a number changes and never when a field or
+//! type is renamed.
 
 use crate::ftl::wear::WearSummary;
 use crate::ftl::FtlStats;
-use std::fmt;
+
+/// 64-bit FNV-1a over a byte stream: the one digest behind every report
+/// pin. Integers are fed as little-endian `u64` ([`Fnv1a::u64`]), floats
+/// as their bit patterns (`to_bits`), and every `Vec` or array is
+/// preceded by its length, so two reports digest equal iff their values
+/// are bit-identical, whatever their fields or types are called.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// A fresh digest (the FNV-1a offset basis).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds an integer as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Feeds each integer in turn, as [`Fnv1a::u64`] does.
+    pub fn u64s(&mut self, vs: impl IntoIterator<Item = u64>) {
+        for v in vs {
+            self.u64(v);
+        }
+    }
+
+    /// Feeds a float as its bit pattern (`-0.0` and `0.0` differ).
+    pub(crate) fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Streaming log₂ histogram: sample `v` lands in bucket
 /// `min(bits(v), N - 1)`, where `bits(0) = 0`, so bucket `i > 0` holds
 /// `[2^(i-1), 2^i)` and the last bucket also holds everything larger.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Hist<const N: usize> {
     /// Number of samples.
     pub count: u64,
@@ -50,29 +103,6 @@ impl<const N: usize> Default for Log2Hist<N> {
     }
 }
 
-/// Renders each alias under its own name and field names, the phase
-/// form without min/max: the fleet digest and the determinism suite's
-/// report pins hash a report's `Debug` text.
-impl<const N: usize> fmt::Debug for Log2Hist<N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if N == PHASE_BUCKETS {
-            f.debug_struct("PhaseHist")
-                .field("count", &self.count)
-                .field("sum_ns", &self.sum_ns)
-                .field("buckets", &self.buckets)
-                .finish()
-        } else {
-            f.debug_struct("LatencyStats")
-                .field("count", &self.count)
-                .field("sum_ns", &self.sum_ns)
-                .field("min_ns", &self.min_ns)
-                .field("max_ns", &self.max_ns)
-                .field("hist", &self.buckets)
-                .finish()
-        }
-    }
-}
-
 impl<const N: usize> Log2Hist<N> {
     /// An empty accumulator.
     pub fn new() -> Self {
@@ -99,6 +129,20 @@ impl<const N: usize> Log2Hist<N> {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
+    }
+
+    /// Feeds count, sum, min, max, then the bucket count and every
+    /// bucket.
+    pub(crate) fn feed(&self, h: &mut Fnv1a) {
+        let Self {
+            count,
+            sum_ns,
+            min_ns,
+            max_ns,
+            buckets,
+        } = self;
+        h.u64s([*count, *sum_ns, *min_ns, *max_ns, N as u64]);
+        h.u64s(*buckets);
     }
 
     /// Mean sample in nanoseconds (0 when empty).
@@ -175,6 +219,18 @@ impl LatencyBreakdown {
         }
     }
 
+    /// Feeds the five sums in declaration order.
+    fn feed(&self, h: &mut Fnv1a) {
+        let Self {
+            wait_unit_ns,
+            array_ns,
+            wait_bus_ns,
+            transfer_ns,
+            cmds,
+        } = *self;
+        h.u64s([wait_unit_ns, array_ns, wait_bus_ns, transfer_ns, cmds]);
+    }
+
     /// Fraction of command time spent waiting — the conflict share.
     pub fn conflict_fraction(&self) -> f64 {
         let total = self.total_ns();
@@ -215,6 +271,21 @@ impl PhaseReport {
         self.transfer.merge(&other.transfer);
         self.gc_exec.merge(&other.gc_exec);
         self.queue_depth.merge(&other.queue_depth);
+    }
+
+    /// Feeds the six histograms in declaration order.
+    fn feed(&self, h: &mut Fnv1a) {
+        let Self {
+            wait_unit,
+            array,
+            wait_bus,
+            transfer,
+            gc_exec,
+            queue_depth,
+        } = self;
+        for hist in [wait_unit, array, wait_bus, transfer, gc_exec, queue_depth] {
+            hist.feed(h);
+        }
     }
 }
 
@@ -304,6 +375,87 @@ impl SimReport {
             max / min
         }
     }
+
+    /// FNV-1a over every value of the report, in declaration order:
+    /// tenant count, then each tenant's read and write histograms; the
+    /// read, write and total histograms; the five FTL counters; the wear
+    /// summary (erases, min, max, then mean and standard deviation as
+    /// bits); makespan and events; channel count and each channel's busy
+    /// time; the read and write breakdowns; GC busy time; and the six
+    /// phase histograms. A histogram feeds count, sum, min, max, bucket
+    /// count and buckets ([`Fnv1a`] has the encoding). Two reports
+    /// digest equal iff they are bit-identical; the determinism suite
+    /// pins this value.
+    pub fn digest(&self) -> u64 {
+        let Self {
+            tenants,
+            read,
+            write,
+            total,
+            ftl,
+            wear,
+            makespan_ns,
+            events_processed,
+            bus_busy_ns,
+            read_breakdown,
+            write_breakdown,
+            gc_busy_ns,
+            phases,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.u64(tenants.len() as u64);
+        for TenantReport { read, write } in tenants {
+            read.feed(&mut h);
+            write.feed(&mut h);
+        }
+        for hist in [read, write, total] {
+            hist.feed(&mut h);
+        }
+        let FtlStats {
+            host_pages_written,
+            gc_pages_moved,
+            gc_blocks_erased,
+            gc_invocations,
+            seeded_pages,
+        } = *ftl;
+        h.u64s([
+            host_pages_written,
+            gc_pages_moved,
+            gc_blocks_erased,
+            gc_invocations,
+            seeded_pages,
+        ]);
+        let WearSummary {
+            total_erases,
+            min,
+            max,
+            mean,
+            std_dev,
+        } = *wear;
+        h.u64s([total_erases, min.into(), max.into()]);
+        h.f64(mean);
+        h.f64(std_dev);
+        h.u64s([*makespan_ns, *events_processed, bus_busy_ns.len() as u64]);
+        h.u64s(bus_busy_ns.iter().copied());
+        read_breakdown.feed(&mut h);
+        write_breakdown.feed(&mut h);
+        h.u64(*gc_busy_ns);
+        phases.feed(&mut h);
+        h.finish()
+    }
+}
+
+/// One-step perturbations of every histogram field (count, sum, min, max
+/// and one bucket), for the digest sensitivity tests.
+#[cfg(test)]
+pub(crate) fn hist_bumps<const N: usize>() -> [fn(&mut Log2Hist<N>); 5] {
+    [
+        |h| h.count += 1,
+        |h| h.sum_ns += 1,
+        |h| h.min_ns += 1,
+        |h| h.max_ns += 1,
+        |h| h.buckets[3] += 1,
+    ]
 }
 
 #[cfg(test)]
@@ -342,6 +494,130 @@ mod tests {
         let rate = report.events_per_sec(std::time::Duration::from_millis(500));
         assert_eq!(rate, 2_000.0);
         assert_eq!(report.events_per_sec(std::time::Duration::ZERO), 0.0);
+    }
+
+    /// A report with a distinct non-zero value in every field.
+    fn sample_report() -> SimReport {
+        let lat = |v: u64| hist::<64>(&[v, 3 * v]);
+        let phase = |v: u64| hist::<32>(&[v]);
+        let breakdown = |v: u64| LatencyBreakdown {
+            wait_unit_ns: v,
+            array_ns: v + 1,
+            wait_bus_ns: v + 2,
+            transfer_ns: v + 3,
+            cmds: v + 4,
+        };
+        SimReport {
+            tenants: (0..2)
+                .map(|t| TenantReport {
+                    read: lat(10 + t),
+                    write: lat(20 + t),
+                })
+                .collect(),
+            read: lat(30),
+            write: lat(40),
+            total: lat(50),
+            ftl: FtlStats {
+                host_pages_written: 60,
+                gc_pages_moved: 61,
+                gc_blocks_erased: 62,
+                gc_invocations: 63,
+                seeded_pages: 64,
+            },
+            wear: WearSummary {
+                total_erases: 70,
+                min: 71,
+                max: 72,
+                mean: 73.5,
+                std_dev: 74.5,
+            },
+            makespan_ns: 80,
+            events_processed: 81,
+            bus_busy_ns: vec![90, 91],
+            read_breakdown: breakdown(100),
+            write_breakdown: breakdown(110),
+            gc_busy_ns: 120,
+            phases: PhaseReport {
+                wait_unit: phase(130),
+                array: phase(131),
+                wait_bus: phase(132),
+                transfer: phase(133),
+                gc_exec: phase(134),
+                queue_depth: phase(135),
+            },
+        }
+    }
+
+    /// Every value of a report reaches its digest: bumping any scalar by
+    /// one, any histogram field or one bucket, or one `Vec` element, or
+    /// growing a `Vec`, gives a digest unlike the base and every other
+    /// perturbation.
+    #[test]
+    fn digest_moves_with_every_value() {
+        let base = sample_report();
+        assert_eq!(base.digest(), base.clone().digest());
+        let mut seen = vec![base.digest()];
+        let mut check = |what: &str, edit: &dyn Fn(&mut SimReport)| {
+            let mut r = base.clone();
+            edit(&mut r);
+            let d = r.digest();
+            assert!(!seen.contains(&d), "{what}: digest did not move");
+            seen.push(d);
+        };
+        for (i, bump) in hist_bumps::<64>().into_iter().enumerate() {
+            check(&format!("tenants[1].read #{i}"), &|r| {
+                bump(&mut r.tenants[1].read)
+            });
+            check(&format!("tenants[1].write #{i}"), &|r| {
+                bump(&mut r.tenants[1].write)
+            });
+            check(&format!("read #{i}"), &|r| bump(&mut r.read));
+            check(&format!("write #{i}"), &|r| bump(&mut r.write));
+            check(&format!("total #{i}"), &|r| bump(&mut r.total));
+        }
+        for (i, bump) in hist_bumps::<32>().into_iter().enumerate() {
+            check(&format!("wait_unit #{i}"), &|r| {
+                bump(&mut r.phases.wait_unit)
+            });
+            check(&format!("array #{i}"), &|r| bump(&mut r.phases.array));
+            check(&format!("wait_bus #{i}"), &|r| bump(&mut r.phases.wait_bus));
+            check(&format!("transfer #{i}"), &|r| bump(&mut r.phases.transfer));
+            check(&format!("gc_exec #{i}"), &|r| bump(&mut r.phases.gc_exec));
+            check(&format!("queue_depth #{i}"), &|r| {
+                bump(&mut r.phases.queue_depth)
+            });
+        }
+        let breakdowns: [fn(&mut SimReport) -> &mut LatencyBreakdown; 2] =
+            [|r| &mut r.read_breakdown, |r| &mut r.write_breakdown];
+        for (i, b) in breakdowns.into_iter().enumerate() {
+            check(&format!("breakdown {i} wait_unit"), &|r| {
+                b(r).wait_unit_ns += 1
+            });
+            check(&format!("breakdown {i} array"), &|r| b(r).array_ns += 1);
+            check(&format!("breakdown {i} wait_bus"), &|r| {
+                b(r).wait_bus_ns += 1
+            });
+            check(&format!("breakdown {i} transfer"), &|r| {
+                b(r).transfer_ns += 1
+            });
+            check(&format!("breakdown {i} cmds"), &|r| b(r).cmds += 1);
+        }
+        check("tenants len", &|r| r.tenants.push(TenantReport::default()));
+        check("ftl.host_pages_written", &|r| r.ftl.host_pages_written += 1);
+        check("ftl.gc_pages_moved", &|r| r.ftl.gc_pages_moved += 1);
+        check("ftl.gc_blocks_erased", &|r| r.ftl.gc_blocks_erased += 1);
+        check("ftl.gc_invocations", &|r| r.ftl.gc_invocations += 1);
+        check("ftl.seeded_pages", &|r| r.ftl.seeded_pages += 1);
+        check("wear.total_erases", &|r| r.wear.total_erases += 1);
+        check("wear.min", &|r| r.wear.min += 1);
+        check("wear.max", &|r| r.wear.max += 1);
+        check("wear.mean", &|r| r.wear.mean += 1.0);
+        check("wear.std_dev", &|r| r.wear.std_dev += 1.0);
+        check("makespan_ns", &|r| r.makespan_ns += 1);
+        check("events_processed", &|r| r.events_processed += 1);
+        check("bus_busy_ns[1]", &|r| r.bus_busy_ns[1] += 1);
+        check("bus_busy_ns len", &|r| r.bus_busy_ns.push(0));
+        check("gc_busy_ns", &|r| r.gc_busy_ns += 1);
     }
 
     fn records_every_field<const N: usize>() {
@@ -526,17 +802,5 @@ mod tests {
         assert_eq!((a.wait_unit.min_ns, a.wait_unit.max_ns), (1, 3));
         assert_eq!(a.gc_exec.count, 1);
         assert_eq!(a.queue_depth.count, 1);
-    }
-
-    /// `Debug` keeps each alias's pinned rendering: report digests
-    /// hash it.
-    #[test]
-    fn debug_keeps_the_pinned_renderings() {
-        let l = format!("{:?}", hist::<64>(&[5]));
-        assert!(l.starts_with(
-            "LatencyStats { count: 1, sum_ns: 5, min_ns: 5, max_ns: 5, hist: [0, 0, 0, 1, 0"
-        ));
-        let p = format!("{:?}", hist::<32>(&[5]));
-        assert!(p.starts_with("PhaseHist { count: 1, sum_ns: 5, buckets: [0, 0, 0, 1, 0"));
     }
 }

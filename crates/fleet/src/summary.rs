@@ -14,6 +14,7 @@
 //! starting at 0), and per shard — tagged with the device id — via
 //! [`FleetSummary::tagged_timeline_csv`].
 
+use flash_sim::stats::Fnv1a;
 use flash_sim::MetricsSummary;
 use ssdkeeper::placement::DEVICE_SLOTS;
 use ssdkeeper::Strategy;
@@ -76,19 +77,44 @@ impl FleetSummary {
         self.shards.iter().map(|s| s.makespan_ns).max().unwrap_or(0)
     }
 
-    /// FNV-1a over the `Debug` rendering of the merged summary and every
-    /// shard summary: every histogram bucket, counter, strategy choice,
-    /// and timeline window participates, so two fleet runs digest equal
-    /// iff their results are byte-identical. This is the value the
-    /// determinism gate compares across worker counts.
+    /// FNV-1a over the fleet's values: the merged summary's
+    /// [`MetricsSummary::digest`], the shard count, then per shard its
+    /// device, strategy index (in the four-tenant space), slot count and
+    /// each slot's tenant count and tenant ids, its metrics digest,
+    /// events and makespan; last the channels per device. Two fleet runs
+    /// digest equal iff their results are bit-identical. This is the
+    /// value the determinism gate compares across worker counts.
     pub fn digest(&self) -> u64 {
-        let text = format!("{:?}{:?}", self.merged, self.shards);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let Self {
+            merged,
+            shards,
+            channels_per_device,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.u64(merged.digest());
+        h.u64(shards.len() as u64);
+        for ShardSummary {
+            device,
+            strategy,
+            slot_tenants,
+            metrics,
+            events_processed,
+            makespan_ns,
+        } in shards
+        {
+            h.u64s([
+                *device as u64,
+                strategy.index(DEVICE_SLOTS) as u64,
+                slot_tenants.len() as u64,
+            ]);
+            for slot in slot_tenants {
+                h.u64(slot.len() as u64);
+                h.u64s(slot.iter().map(|&t| t as u64));
+            }
+            h.u64s([metrics.digest(), *events_processed, *makespan_ns]);
         }
-        h
+        h.u64(*channels_per_device as u64);
+        h.finish()
     }
 
     /// Shard-tagged timeline concatenation: one CSV row per (shard,

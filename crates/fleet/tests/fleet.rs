@@ -48,8 +48,10 @@ fn smoke_scenario_runs_and_merges() {
     }
 }
 
-/// The acceptance gate: one fleet seed, 1 vs 4 vs 8 workers — the merged
-/// digest (and in fact the whole outcome) must be byte-identical.
+/// The acceptance gate: one fleet seed, 1 vs 4 vs 8 workers — the whole
+/// outcome must be byte-identical, and its value digest is pinned (the
+/// same value verify.sh checks through the release `fleet` binary,
+/// `tests/golden/fleet_smoke_digest.txt`).
 #[test]
 fn digest_is_identical_across_1_4_8_workers() {
     let outcome_at = |workers: usize| {
@@ -62,16 +64,16 @@ fn digest_is_identical_across_1_4_8_workers() {
     let w1 = outcome_at(1);
     let w4 = outcome_at(4);
     let w8 = outcome_at(8);
-    assert_eq!(w1.summary.digest(), w4.summary.digest());
-    assert_eq!(w1.summary.digest(), w8.summary.digest());
     assert_eq!(w1, w4);
     assert_eq!(w1, w8);
+    let digest = w1.summary.digest();
+    assert_eq!(digest, 0xf6a0_9ec6_454b_2c55, "got {digest:#018x}");
 }
 
 /// Satellite gate: the lazy stream path (regenerate per shard, never
 /// hold the whole fleet's traffic) must be byte-identical to the eager
-/// reference — digest and full outcome — including across worker counts
-/// and with the re-placement hook firing.
+/// reference (the full outcome at 4 workers, the digest at 1 worker),
+/// with the re-placement hook firing.
 #[test]
 fn lazy_and_eager_streams_produce_identical_digests() {
     let cfg_at = |mode: StreamMode, workers: usize| FleetConfig {
@@ -88,7 +90,6 @@ fn lazy_and_eager_streams_produce_identical_digests() {
     );
     let lazy = run_fleet(&cfg_at(StreamMode::Lazy, 4)).expect("lazy fleet runs");
     let eager = run_fleet(&cfg_at(StreamMode::Eager, 4)).expect("eager fleet runs");
-    assert_eq!(lazy.summary.digest(), eager.summary.digest());
     assert_eq!(lazy, eager);
     let lazy_w1 = run_fleet(&cfg_at(StreamMode::Lazy, 1)).expect("lazy fleet runs");
     assert_eq!(lazy.summary.digest(), lazy_w1.summary.digest());

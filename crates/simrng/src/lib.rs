@@ -19,11 +19,14 @@
 //! (`Rng::gen_range`/`gen`/`gen_bool`, slice shuffling) so call sites port
 //! mechanically, plus the distribution helpers the simulator needs
 //! ([`dist`]: exponential inter-arrival gaps, bounded Zipf and Xavier
-//! init).
+//! init), and [`mutate`] for the decoders' seeded fuzz tests.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;
+mod mutate;
+
+pub use mutate::mutate;
 
 /// Minimal generator interface: a source of uniform `u64`s.
 ///

@@ -795,11 +795,7 @@ mod tests {
                 )
                 .unwrap();
             let warm = keeper.run(spec().with_arena(&mut arena)).unwrap();
-            assert_eq!(
-                format!("{:?}", cold.report),
-                format!("{:?}", warm.report),
-                "{mode:?}"
-            );
+            assert_eq!(cold.report.digest(), warm.report.digest(), "{mode:?}");
             assert_eq!(
                 format!("{:?}", cold.decisions),
                 format!("{:?}", warm.decisions),

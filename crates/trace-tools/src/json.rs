@@ -379,6 +379,37 @@ mod tests {
         assert!(parse(&past_cap).is_err());
     }
 
+    /// Seeded mutation fuzzing (bit flips, truncations, splices of
+    /// valid documents, made UTF-8 lossily): parsing never panics, and a
+    /// rejection is a `JsonError` pointing inside the input.
+    #[test]
+    fn mutated_documents_never_panic() {
+        let corpus: [&[u8]; 3] = [
+            include_bytes!("../../../tests/golden/ssdtrace_summary.json"),
+            br#"{"a": [1, -2.5e3, true, false, null], "b": {"c": "d\u0041\n"}}"#,
+            "[\"é\\\"\", {}, [[]], 0.1]".as_bytes(),
+        ];
+        assert!(corpus
+            .iter()
+            .all(|doc| parse(std::str::from_utf8(doc).unwrap()).is_ok()));
+        let mut rng = simrng::SimRng::seed_from_u64(0x4a53_4f4e);
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..5_000 {
+            let text = String::from_utf8_lossy(&simrng::mutate(&mut rng, &corpus)).into_owned();
+            match parse(&text) {
+                Ok(v) => {
+                    flatten_numbers(&v);
+                    ok += 1;
+                }
+                Err(e) => {
+                    assert!(e.pos <= text.len() && !e.msg.is_empty(), "{e}");
+                    err += 1;
+                }
+            }
+        }
+        assert!(ok > 100 && err > 100, "{ok} parsed, {err} rejected");
+    }
+
     #[test]
     fn nested_empty_containers() {
         let v = parse(r#"{"a": [], "b": {}, "c": [[]]}"#).unwrap();

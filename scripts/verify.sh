@@ -100,20 +100,25 @@ fi
 
 # Fleet determinism gate: the merged fleet digest must be a pure
 # function of the scenario, never of the worker count. Runs the small
-# smoke scenario pinned to 1 worker and again at 4 and compares the
-# printed digest lines byte-for-byte (the same property the fleet crate's
-# digest_is_identical_across_1_4_8_workers test pins in-process; this
-# checks it end-to-end through the release binary).
-echo "==> fleet determinism check (1 vs 4 workers)"
-fleet_w1=$(./target/release/fleet --smoke --seed 42 --workers 1 | grep '^fleet digest:')
-fleet_w4=$(./target/release/fleet --smoke --seed 42 --workers 4 | grep '^fleet digest:')
-if [ "$fleet_w1" != "$fleet_w4" ] || [ -z "$fleet_w1" ]; then
-    echo "verify: FAIL - fleet digest depends on worker count" >&2
-    echo "  1 worker:  $fleet_w1" >&2
-    echo "  4 workers: $fleet_w4" >&2
-    exit 1
-fi
-echo "    $fleet_w1 (identical at both worker counts)"
+# smoke scenario at 1 worker and at 4 and compares each printed digest
+# line byte-for-byte against tests/golden/fleet_smoke_digest.txt (the
+# value the fleet crate's digest_is_identical_across_1_4_8_workers test
+# pins in-process; this checks it end-to-end through the release
+# binary). The digest is FleetSummary::digest, over the run's values.
+echo "==> fleet determinism check (1 and 4 workers against the golden digest)"
+fleet_want=$(cat tests/golden/fleet_smoke_digest.txt)
+for w in 1 4; do
+    fleet_got=$(./target/release/fleet --smoke --seed 42 --workers "$w" | grep '^fleet digest:' || true)
+    if [ "$fleet_got" != "$fleet_want" ]; then
+        echo "verify: FAIL - fleet --smoke --seed 42 --workers $w diverged from tests/golden/fleet_smoke_digest.txt" >&2
+        echo "  expected $fleet_want" >&2
+        echo "  got      $fleet_got" >&2
+        echo "If this change is intentional, regenerate with:" >&2
+        echo "  target/release/fleet --smoke --seed 42 | grep '^fleet digest:' > tests/golden/fleet_smoke_digest.txt" >&2
+        exit 1
+    fi
+done
+echo "    $fleet_want (matches golden at 1 and 4 workers)"
 
 # Dataset pin: the label sweep simulates each channel-isolated tenant
 # group once and merges group statistics into every strategy's row

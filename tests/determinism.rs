@@ -90,19 +90,6 @@ fn dataset_and_model_are_deterministic_even_with_parallel_labelling() {
     assert_eq!(m1.history.loss, m2.history.loss);
 }
 
-/// FNV-1a over the report's `Debug` rendering: every counter, histogram
-/// bucket, and breakdown field participates, so two reports hash equal
-/// iff they are byte-identical.
-fn report_digest(report: &SimReport) -> u64 {
-    let text = format!("{report:?}");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fixture A: two tenants (one dynamic-policy writer, one reader) on a
 /// GC-pressured device with wear leveling, host queueing, and a mid-run
 /// channel reallocation — every stateful subsystem participates.
@@ -176,10 +163,10 @@ fn read_priority_hot_report() -> SimReport {
 /// event counts and makespans below were captured from the scan-based
 /// `pick_victim` and the monotonically growing command arena; the
 /// free-list arena and the bucketed victim index must reproduce them
-/// exactly. The digests were re-captured when `SimReport` grew the
-/// `phases` breakdown (which changes the `Debug` rendering but none of
-/// the timing): the unchanged events/makespan pins prove the engine
-/// still schedules identically.
+/// exactly. The digests ([`SimReport::digest`], over every value of the
+/// report) were captured later than the events and makespans, because
+/// the report has since gained fields; the events/makespan pins prove
+/// the engine still schedules identically.
 #[test]
 fn sim_reports_match_pre_arena_goldens() {
     let a = gc_wear_realloc_report();
@@ -187,7 +174,7 @@ fn sim_reports_match_pre_arena_goldens() {
     if std::env::var("SSDKEEPER_PRINT_GOLDEN").is_ok() {
         println!(
             "fixture A: digest {:#018x} events {} makespan {} gc {} moved {}",
-            report_digest(&a),
+            a.digest(),
             a.events_processed,
             a.makespan_ns,
             a.ftl.gc_invocations,
@@ -195,7 +182,7 @@ fn sim_reports_match_pre_arena_goldens() {
         );
         println!(
             "fixture B: digest {:#018x} events {} makespan {} gc {} moved {}",
-            report_digest(&b),
+            b.digest(),
             b.events_processed,
             b.makespan_ns,
             b.ftl.gc_invocations,
@@ -204,10 +191,10 @@ fn sim_reports_match_pre_arena_goldens() {
     }
     assert!(a.ftl.gc_invocations > 0, "fixture A must exercise GC");
     assert!(b.ftl.gc_invocations > 0, "fixture B must exercise GC");
-    assert_eq!(report_digest(&a), 0x8472_9607_9262_4922);
+    assert_eq!(a.digest(), 0x802f_6247_8c4d_8abf);
     assert_eq!(a.events_processed, 16_038);
     assert_eq!(a.makespan_ns, 97_785_251);
-    assert_eq!(report_digest(&b), 0xe4ab_76a8_2d32_2857);
+    assert_eq!(b.digest(), 0xbe14_c95d_defe_7c4c);
     assert_eq!(b.events_processed, 8_182);
     assert_eq!(b.makespan_ns, 322_483_000);
 }
